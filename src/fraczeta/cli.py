@@ -22,9 +22,9 @@ from .fitkit import fit_cole_cole, load_spectrum, save_spectrum, synth_spectrum
 from .fracdyn import (ColeColeModel, TwistedShift, arc_fit,
                       cole_cole_impedance, gl_fracderiv, mittag_leffler,
                       phase_angles, twisted_compose)
-from .loopgas import (build_kernel, fluctuation_bound, forward_backward,
-                      loop_partition, make_lattice, mc_propagator, propagator,
-                      sample_paths, thermal_time)
+from .loopgas import (_evolve, build_kernel, fluctuation_bound,
+                      forward_backward, loop_partition, make_lattice,
+                      mc_propagator, propagator, sample_paths, thermal_time)
 from .zetalab import (Disc, completed_xi, find_zeros, gue_sample,
                       heat_trace_mellin, pair_correlation, spectral_zeta,
                       unfold, universality_scan, zeta)
@@ -419,8 +419,7 @@ def _cmd_loops_propagator(args) -> int:
     v = np.zeros(lat.n_sites)
     v[x0] = 1.0
     rows = []
-    for step in range(1, n + 1):
-        v = k.matrix @ v
+    for step, v in enumerate(_evolve(k.matrix, v, n), start=1):
         if args.all_steps or step == n:
             t = step * lat.eps
             rows.extend((float(t), float(x), float(q / lat.delta))

@@ -117,6 +117,12 @@ class PathEnsemble:
         if np.any(self.weights <= 0.0):
             raise ValueError("weights must be positive")
 
+    @property
+    def ess(self) -> float:
+        """Kish effective sample size (sum w)^2 / sum w^2, in [1, n_paths]."""
+        w = self.weights / np.max(self.weights)  # scale-free; no overflow
+        return float(np.sum(w) ** 2 / np.sum(w * w))
+
 
 def _free_gaussian(lattice: LoopLattice) -> np.ndarray:
     """Free one-step matrix sqrt(m/2 pi hbar eps) e^{-m d^2/2 hbar eps} delta,
@@ -164,6 +170,13 @@ def _check_sites(kernel_or_lattice, *sites):
             raise ValueError(f"site index {s} outside [0, {n})")
 
 
+def _evolve(matrix: np.ndarray, v: np.ndarray, n_steps: int):
+    """Yield matrix^k @ v for k = 1..n_steps, one matvec each."""
+    for _ in range(n_steps):
+        v = matrix @ v
+        yield v
+
+
 def propagator(kernel: TransferKernel, x0: int, x1: int, n_steps: int) -> float:
     """Density q(x0 -> x1, n_steps*eps) = (T^n)[x0, x1] / delta."""
     _check_sites(kernel, x0, x1)
@@ -171,8 +184,8 @@ def propagator(kernel: TransferKernel, x0: int, x1: int, n_steps: int) -> float:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     v = np.zeros(kernel.matrix.shape[0])
     v[x0] = 1.0
-    for _ in range(n_steps):
-        v = kernel.matrix @ v
+    for v in _evolve(kernel.matrix, v, n_steps):
+        pass
     return float(v[x1]) / kernel.delta
 
 
@@ -234,14 +247,8 @@ def forward_backward(kernel: TransferKernel, phi0, phi1, n_steps: int):
             raise ValueError(f"{name} must be finite and nonnegative")
         if not np.any(f > 0.0):
             raise ValueError(f"{name} must not be identically zero")
-    phis = np.empty((n_steps + 1, n))
-    hats = np.empty((n_steps + 1, n))
-    phis[0] = f0
-    hats[n_steps] = f1
-    for k in range(1, n_steps + 1):
-        phis[k] = kernel.matrix @ phis[k - 1]
-    for k in range(n_steps - 1, -1, -1):
-        hats[k] = kernel.matrix @ hats[k + 1]
+    phis = np.array([f0, *_evolve(kernel.matrix, f0, n_steps)])
+    hats = np.array([f1, *_evolve(kernel.matrix, f1, n_steps)])[::-1]
     return phis, hats, phis * hats
 
 
@@ -249,23 +256,28 @@ def _sample_bridge(g: np.ndarray, start: int, end: int, n_steps: int,
                    n_paths: int, rng) -> np.ndarray:
     """Exact lattice bridge: forward categorical sampling of the free
     chain pinned at both ends, using backward partials b_j = G^j[:, end].
+
+    One n x n cumsum per step serves all paths: those at site i search
+    row i.  Rows are nondecreasing (G, b >= 0), so searchsorted "left"
+    counts the entries below u, the same count as one gathered row per path.
     """
     n = g.shape[0]
-    b = np.empty((n_steps, n))
-    b[0] = 0.0
-    b[0, end] = 1.0  # b_0 = e_end, used only to seed the recursion
-    for j in range(1, n_steps):
-        b[j] = g @ b[j - 1]
+    e_end = np.zeros(n)
+    e_end[end] = 1.0  # b_0 = e_end, used only to seed the recursion
+    b = np.array([e_end, *_evolve(g, e_end, n_steps - 1)])
     paths = np.empty((n_paths, n_steps + 1), dtype=np.int64)
     paths[:, 0] = start
     paths[:, n_steps] = end
     for lo in range(0, n_paths, _CHUNK):
         cur = np.full(min(_CHUNK, n_paths - lo), start, dtype=np.int64)
         for k in range(1, n_steps):
-            w = g[cur] * b[n_steps - k][None, :]
-            cs = np.cumsum(w, axis=1)
-            u = rng.random(cur.size) * cs[:, -1]
-            cur = np.minimum((cs < u[:, None]).sum(axis=1), n - 1)
+            cs = np.cumsum(g * b[n_steps - k], axis=1)
+            u = rng.random(cur.size) * cs[cur, -1]
+            order = np.argsort(cur, kind="stable")
+            sites, first = np.unique(cur[order], return_index=True)
+            for site, group in zip(sites, np.split(order, first[1:])):
+                cur[group] = np.searchsorted(cs[site], u[group], side="left")
+            cur = np.minimum(cur, n - 1)
             paths[lo: lo + cur.size, k] = cur
     return paths
 
@@ -311,7 +323,6 @@ def sample_paths(lattice: LoopLattice, n_paths: int, n_steps: int, seed: int,
         pos = x0 + np.cumsum(steps, axis=1)
         span = lattice.x_max - lattice.x_min
         if lattice.boundary == "periodic":
-            period = lattice.n_sites * lattice.delta
             idx = np.rint((pos - lattice.x_min) / lattice.delta).astype(np.int64)
             idx %= lattice.n_sites
         else:
@@ -334,13 +345,16 @@ def mc_propagator(lattice: LoopLattice, x0: int, x1: int, n_steps: int,
     unbiased for propagator(build_kernel(lattice), x0, x1, n_steps).
     """
     _check_sites(lattice, x0, x1)
-    free = make_lattice(lattice.x_min, lattice.x_max, lattice.n_sites,
-                        lattice.eps, mass=lattice.mass, hbar=lattice.hbar,
-                        potential=None, boundary=lattice.boundary)
-    q_free = propagator(build_kernel(free), x0, x1, n_steps)
-    ens = sample_paths(lattice, n_paths, n_steps, seed, mode="loop",
-                       start_site=x0, end_site=x1)
-    w = ens.weights
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    g = _free_gaussian(lattice)  # bitwise build_kernel(free lattice).matrix
+    q_free = propagator(TransferKernel(g, lattice.eps, lattice.delta),
+                        x0, x1, n_steps)
+    paths = _sample_bridge(g, x0, x1, n_steps, n_paths,
+                           np.random.default_rng(seed))
+    # the ensemble rejects underflowed weights, as in sample_paths
+    w = PathEnsemble(n_paths, n_steps, seed, paths,
+                     _path_weights(lattice, paths)).weights
     est = q_free * float(np.mean(w))
     if n_paths > 1:
         se = q_free * float(np.std(w, ddof=1)) / math.sqrt(n_paths)

@@ -5,8 +5,11 @@ its spectral trace) were generated and cross-validated with
 tests/oracles/heat_kernel.py and are frozen here.
 """
 
+import hashlib
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,9 @@ from fraczeta.loopgas import (
     propagator,
     sample_paths,
     thermal_time,
+    _CHUNK,
+    _free_gaussian,
+    _sample_bridge,
 )
 
 # mpmath (30 digits), rounded to double; see tests/oracles/heat_kernel.py
@@ -32,6 +38,16 @@ HARMONIC_Q_04_M04_T1 = 0.26030773279311783
 HARMONIC_TRACE_T1 = 0.95951737566747186
 HARMONIC_TRACE_T05 = 1.9793175816510002
 FREE_Q_0_04_T1 = 0.36827014030332331
+
+# sha256 of sample_paths(harmonic 161-site lattice, 2000, 100, seed=5,
+# mode="loop").paths as produced by the gather/cumsum reference route
+HARMONIC_LOOP_PATHS_SHA256 = (
+    "aabc4ad54a1321bce3650726e1799105edac79853cd301418fdc6837bed379b9")
+
+_spec = importlib.util.spec_from_file_location(
+    "bridge_reference", Path(__file__).parent / "oracles" / "bridge_reference.py")
+bridge_reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bridge_reference)
 
 
 def _quiet_lattice(*args, **kwargs):
@@ -411,3 +427,36 @@ def test_loop_lattice_direct_construction_validates():
         LoopLattice(x_min=0.0, x_max=1.0, n_sites=11, eps=0.01, mass=1.0,
                     hbar=1.0, potential=tuple([math.nan] * 11),
                     boundary="periodic")
+
+
+@pytest.mark.parametrize("boundary, n_sites, start, end, n_steps, n_paths", [
+    ("periodic", 161, 80, 80, 60, 3000),
+    ("reflecting", 161, 30, 100, 40, 3000),
+    ("reflecting", 41, 3, 0, 5, _CHUNK + 1234),  # crosses the chunk boundary
+    ("periodic", 161, 80, 80, 1, 500),
+    ("periodic", 161, 70, 90, 2, 500),
+])
+def test_bridge_matches_reference_route(boundary, n_sites, start, end,
+                                        n_steps, n_paths):
+    lat = _quiet_lattice(-8.0, 8.0, n_sites, 0.01, boundary=boundary)
+    g = _free_gaussian(lat)
+    got = _sample_bridge(g, start, end, n_steps, n_paths,
+                         np.random.default_rng(21))
+    ref = bridge_reference.sample_bridge(g, start, end, n_steps, n_paths,
+                                         np.random.default_rng(21))
+    assert bridge_reference.CHUNK == _CHUNK
+    assert np.array_equal(got, ref)
+
+
+def test_bridge_ensemble_hash_pinned():
+    lat = _quiet_lattice(-8.0, 8.0, 161, 0.01, potential=lambda x: x * x / 2)
+    paths = sample_paths(lat, 2000, 100, seed=5, mode="loop").paths
+    digest = hashlib.sha256(paths.tobytes()).hexdigest()
+    assert digest == HARMONIC_LOOP_PATHS_SHA256
+
+
+def test_ensemble_ess(fine_free, fine_harmonic):
+    free = sample_paths(fine_free[0], 500, 30, seed=6, mode="loop")
+    assert free.ess == free.n_paths
+    harm = sample_paths(fine_harmonic[0], 500, 30, seed=6, mode="loop")
+    assert 1.0 <= harm.ess <= harm.n_paths
