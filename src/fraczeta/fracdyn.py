@@ -208,6 +208,9 @@ def _ml_asymptotic_neg(alpha: float, x: float, k_max: int = 400):
     omitted = 0.0
     for k in range(1, k_max):
         u *= inv
+        if u == 0.0:  # z^-k underflowed; 0 * an overflowed rgamma is NaN
+            omitted = prev
+            break
         term = u * float(rgamma(1.0 - alpha * k))
         mag = abs(term)
         if mag == 0.0:

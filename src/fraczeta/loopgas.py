@@ -189,21 +189,36 @@ def propagator(kernel: TransferKernel, x0: int, x1: int, n_steps: int) -> float:
     return float(v[x1]) / kernel.delta
 
 
+def _power_traces(kernel: TransferKernel, steps) -> list:
+    """Tr(T^n) for each n in steps, from one eigensolve of the symmetric T."""
+    lam = np.linalg.eigvalsh(kernel.matrix)
+    return [float(np.sum(lam ** n)) for n in steps]
+
+
+def _log_partition(z: float) -> float:
+    if not (z > 0.0):
+        raise ArithmeticError(f"loop partition {z} is not positive")
+    return math.log(z)
+
+
 def loop_partition(kernel: TransferKernel, n_steps: int) -> float:
     """Lattice loop integral over closed paths: Tr(T^n), via the spectrum
     of the symmetric operator."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    lam = np.linalg.eigvalsh(kernel.matrix)
-    return float(np.sum(lam ** n_steps))
+    return _power_traces(kernel, [n_steps])[0]
 
 
 def path_entropy(kernel: TransferKernel, n_steps: int) -> float:
     """ln of the loop integral, in units of k_B."""
-    z = loop_partition(kernel, n_steps)
-    if not (z > 0.0):
-        raise ArithmeticError(f"loop partition {z} is not positive")
-    return math.log(z)
+    return _log_partition(loop_partition(kernel, n_steps))
+
+
+def path_entropies(kernel: TransferKernel, n_steps: int) -> np.ndarray:
+    """path_entropy(kernel, n) for n = 1..n_steps (empty if n_steps < 1),
+    bit for bit, from one eigensolve."""
+    return np.array([_log_partition(z) for z in
+                     _power_traces(kernel, range(1, n_steps + 1))])
 
 
 def fluctuation_bound(beta: float, dt: float, mass: float = 1.0,
@@ -345,8 +360,9 @@ def mc_propagator(lattice: LoopLattice, x0: int, x1: int, n_steps: int,
     unbiased for propagator(build_kernel(lattice), x0, x1, n_steps).
     """
     _check_sites(lattice, x0, x1)
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    if n_paths < 2:
+        raise ValueError(f"n_paths must be >= 2 for a standard error, "
+                         f"got {n_paths}")
     g = _free_gaussian(lattice)  # bitwise build_kernel(free lattice).matrix
     q_free = propagator(TransferKernel(g, lattice.eps, lattice.delta),
                         x0, x1, n_steps)
@@ -356,8 +372,5 @@ def mc_propagator(lattice: LoopLattice, x0: int, x1: int, n_steps: int,
     w = PathEnsemble(n_paths, n_steps, seed, paths,
                      _path_weights(lattice, paths)).weights
     est = q_free * float(np.mean(w))
-    if n_paths > 1:
-        se = q_free * float(np.std(w, ddof=1)) / math.sqrt(n_paths)
-    else:
-        se = float("nan")
+    se = q_free * float(np.std(w, ddof=1)) / math.sqrt(n_paths)
     return est, se

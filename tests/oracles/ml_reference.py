@@ -36,6 +36,8 @@ CASES = [
     (0.75, 2.0),
     (0.5, 1.0),      # = e * erfc(-1)
     (0.7, -40.0),    # deep asymptotic branch
+    (0.5, -30.0),    # z^-k underflows before rgamma(1 - a k) overflows
+    (0.8, -400.0 ** 0.8),
 ]
 
 if __name__ == "__main__":

@@ -60,9 +60,9 @@ def test_missing_input_file_exits_one(capsys):
     assert dispatch(["fit", "--input", "/nonexistent/spec.csv"]) == 1
 
 
-def test_threads_must_be_positive(capsys):
-    assert dispatch(["phase", "--threads", "0"]) == 1
-    assert dispatch(["phase", "--threads", "2", "--no-timestamp"]) == 0
+def test_threads_flag_is_gone(capsys):
+    # --threads was parsed and never read; it is now an unknown flag
+    assert dispatch(["phase", "--threads", "2", "--no-timestamp"]) == 2
 
 
 def test_output_file_matches_stdout(tmp_path, capsys):
@@ -129,6 +129,35 @@ def test_config_supplies_defaults_and_flags_win(tmp_path, capsys):
     _, out = run(capsys, "phase", "--config", str(conf), "--alpha", "0.9",
                  "--no-timestamp")
     assert json.loads(out)["alpha"] == 0.9
+
+
+@pytest.mark.parametrize("command, key, value", [
+    (("loops", "kernel"), "sites", "81.5"),
+    (("loops", "sample", "--paths", "10", "--steps", "2"), "mode", "foo"),
+    (("phase",), "format", "xml"),
+])
+def test_config_values_pass_flag_type_and_choices(tmp_path, capsys, command,
+                                                  key, value):
+    conf = tmp_path / "bad.conf"
+    conf.write_text(f"{key} = {value}\n")
+    assert dispatch([*command, "--config", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert f"config key {key}:" in err and repr(value) in err
+    assert dispatch([*command, f"--{key}", value]) == 2
+
+
+def test_config_keys_without_a_flag_are_ignored(tmp_path, capsys):
+    # one file can serve every subcommand: phase has no lattice flags
+    conf = tmp_path / "lab.conf"
+    conf.write_text("sites = 81\nxmin = -4\nalpha = 0.7\n")
+    code, out = run(capsys, "phase", "--config", str(conf), "--no-timestamp")
+    assert code == 0
+    assert json.loads(out)["alpha"] == 0.7
+    code, out = run(capsys, "loops", "kernel", "--config", str(conf),
+                    "--no-timestamp")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["n_sites"] == 81 and rec["delta"] == pytest.approx(0.15)
 
 
 def test_config_bad_line_exits_one(tmp_path, capsys):

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erfcx
 
 from fraczeta.fracdyn import (
     SHIFT_U,
@@ -44,6 +45,13 @@ ML_TABLE = [
     (0.75, 2.0, 16.477360564726636),
     (0.5, 1.0, 5.0089800807622835),
     (0.7, -40.0, 0.0085261702309107444),
+]
+
+# deep negative-axis tail, same oracle: z^-k underflows to 0 in the
+# asymptotic sum before rgamma(1 - alpha k) overflows
+ML_TAIL = [
+    (0.5, -30.0, 0.018795888861416751),
+    (0.8, -400.0 ** 0.8, 0.0018237146467564717),
 ]
 
 
@@ -212,6 +220,13 @@ def test_ml_frozen_values():
         assert abs(got.real - expected) < 1e-8 * abs(expected), (alpha, z)
 
 
+def test_ml_asymptotic_tail_no_nan():
+    for alpha, z, expected in ML_TAIL:
+        got = mittag_leffler(alpha, z)
+        assert got.imag == 0.0
+        assert abs(got.real - expected) < 1e-15 * expected, (alpha, z)
+
+
 def test_ml_special_cases():
     for alpha in (0.3, 0.5, 0.8, 1.0, 1.5, 2.0):
         assert mittag_leffler(alpha, 0.0) == 1.0
@@ -261,6 +276,15 @@ def test_relaxation_examples():
     m = ColeColeModel(alpha=0.5, tau=1.0, r_ct=1.0)
     u = relaxation_response(m, [1.0])
     assert abs(u[0] - 0.427583576155807) < 1e-8
+
+
+def test_relaxation_alpha_half_power_law_tail():
+    # E_{1/2}(-x) = exp(x^2) erfc(x) = erfcx(x) with x = (t/tau)^(1/2)
+    m = ColeColeModel(alpha=0.5, tau=1e-3, r_ct=1.0)
+    x2 = np.logspace(3.0, 6.0, 31)
+    u = relaxation_response(m, x2 * m.tau)
+    ref = erfcx(np.sqrt(x2))
+    assert np.all(np.abs(u / ref - 1.0) < 1e-8)
 
 
 def test_relaxation_monotone_decay():

@@ -23,6 +23,7 @@ from fraczeta.loopgas import (
     loop_partition,
     make_lattice,
     mc_propagator,
+    path_entropies,
     path_entropy,
     propagator,
     sample_paths,
@@ -220,6 +221,13 @@ def test_path_entropy_constant_shift():
     assert abs(sc - (s0 - 30 * 0.05 * 2.0)) < 1e-10
 
 
+def test_path_entropies_match_single_steps(fine_harmonic):
+    _, k = fine_harmonic
+    curve = path_entropies(k, 12)
+    assert curve.tolist() == [path_entropy(k, n) for n in range(1, 13)]
+    assert path_entropies(k, 0).size == 0
+
+
 def test_partition_validation(fine_free):
     _, k = fine_free
     with pytest.raises(ValueError):
@@ -410,6 +418,16 @@ def test_mc_propagator_free_exact(fine_free):
     ref = propagator(k, 100, 100, 50)
     assert abs(est - ref) < 1e-12 * ref
     assert se == 0.0
+
+
+def test_mc_propagator_needs_two_paths(fine_free):
+    # one path has no sample standard deviation; raise, never return NaN
+    lat, _ = fine_free
+    for n_paths in (0, 1):
+        with pytest.raises(ValueError, match="n_paths"):
+            mc_propagator(lat, 100, 100, 10, n_paths, seed=0)
+    est, se = mc_propagator(lat, 100, 100, 10, 2, seed=0)
+    assert math.isfinite(est) and se == 0.0
 
 
 def test_mc_propagator_matches_transfer(fine_harmonic):
