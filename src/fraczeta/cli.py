@@ -501,7 +501,7 @@ def _lattice_flags(p) -> None:
     for flag, default in (("--xmin", -8.0), ("--xmax", 8.0), ("--eps", 0.01),
                           ("--mass", 1.0), ("--hbar", 1.0)):
         p.add_argument(flag, type=float, default=default)
-    p.add_argument("--sites", type=int, default=201)
+    p.add_argument("--sites", type=int, default=161)
     p.add_argument("--potential", choices=tuple(_POTENTIALS), default="free")
     p.add_argument("--boundary", choices=("periodic", "reflecting"),
                    default="periodic")

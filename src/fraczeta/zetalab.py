@@ -37,6 +37,7 @@ _EPS = 2.220446049250313e-16
 _TWO_PI = 2.0 * math.pi
 _T_CEIL = 1.0e4
 _M_CAP = 60
+_ZERO_TOL = 1e-9      # bracket width find_zeros bisects to and reports
 
 # B_{2k}/(2k)! for k = 0..cap, the only Bernoulli data the tail needs
 _B2F = bernoulli(2 * _M_CAP + 2)[0::2] / np.array(
@@ -124,41 +125,49 @@ class UniversalityReport:
 # --- evaluation core ----------------------------------------------------------
 
 
-def _em_tail(s, n_used: int, tol: float = 1e-12):
-    """Euler-Maclaurin continuation terms past the main sum.
+def _em_block(base: np.ndarray, shifts: np.ndarray, tol: float):
+    """zeta(b_j + i t_k) for base points b_j and ordinate shifts t_k.
 
-    s may be a complex scalar or ndarray; n_used is the shared cutoff N.
-    Returns (correction, bound) where correction = N^{1-s}/(s-1) +
-    N^{-s}/2 + Bernoulli terms and bound is the rigorous remainder
-    estimate (array-shaped like s).
+    Returns (values, err), both shaped (shifts, base).  The whole block
+    shares one cutoff N = max(20, ceil(max |Im s|)); the main sum is
+    factored as exp(-i t_k log n) @ n^{-b_j}, with n^{-b_j} kept real
+    when the base is real.  Bernoulli terms are added until the remainder
+    bound drops to tol everywhere or the terms stop shrinking; err is
+    that bound plus twice the float-noise floor.
     """
-    s = np.asarray(s, dtype=complex)
+    s = base[None, :] + 1j * shifts[:, None]
+    n_used = max(20, math.ceil(np.abs(s.imag).max()))
+    n = np.arange(1, n_used, dtype=float)
+    log_n = np.log(n)
+    if np.iscomplexobj(base):
+        p = np.exp(-np.outer(log_n, base))
+    else:
+        p = n[:, None] ** -base
+    main = np.exp(-1j * np.outer(shifts, log_n)) @ p
     sigma = s.real
-    n = float(n_used)
-    log_n = math.log(n)
-    ninvs = np.exp(-s * log_n)                    # N^{-s}
-    corr = ninvs * (n / (s - 1.0) + 0.5)
-    rising = s.copy()                             # (s)_1
-    npow = ninvs / n                              # N^{-s-1}
-    inv_n2 = 1.0 / (n * n)
-    bound = np.full(s.shape, np.inf)
-    prev_mag = np.full(s.shape, np.inf)
-    k = 1
-    while k <= _M_CAP:
+    big_n = float(n_used)
+    ninvs = np.exp(-s * math.log(big_n))           # N^{-s}
+    corr = ninvs * (big_n / (s - 1.0) + 0.5)
+    rising = s                                     # (s)_1
+    npow = ninvs / big_n                           # N^{-s-1}
+    inv_n2 = 1.0 / (big_n * big_n)
+    prev_mag = np.inf
+    for k in range(1, _M_CAP + 1):
         term = _B2F[k] * rising * npow
         mag = np.abs(term)
-        cand = np.abs(s + (2 * k - 1)) / (sigma + (2 * k - 1)) * mag
-        bound = cand
-        if np.all(cand <= tol):
-            break
-        if np.all(mag >= prev_mag):
-            break                                  # divergent tail reached
+        bound = np.abs(s + (2 * k - 1)) / (sigma + (2 * k - 1)) * mag
+        if (bound <= tol).all() or (mag >= prev_mag).all():
+            break                                  # converged, or divergent tail
         corr = corr + term
         prev_mag = mag
         rising = rising * ((s + (2 * k - 1)) * (s + 2 * k))
         npow = npow * inv_n2
-        k += 1
-    return corr, bound
+    # float-noise floor: each term n^{-s} carries a phase rounded through
+    # t*log n, so its absolute error scales like eps*|term|*(1 + |t| log n)
+    mags = np.abs(p)
+    noise = _EPS * (mags.sum(axis=0) + np.abs(s.imag) * (log_n @ mags)
+                    + np.abs(corr))
+    return main + corr, bound + 2.0 * noise
 
 
 def partial_zeta(s: complex, n_max: int) -> complex:
@@ -204,20 +213,12 @@ def zeta(s: complex) -> ZetaPoint:
         raise ValueError(f"evaluation domain is Re s > 0, got {s.real}")
     if abs(s.imag) > _T_CEIL:
         raise ValueError(f"|Im s| is capped at {_T_CEIL:g}, got {s.imag}")
-    n_used = max(20, math.ceil(abs(s.imag)))
-    n = np.arange(1, n_used, dtype=float)
-    log_n = np.log(n)
-    main = np.sum(np.exp(-s * log_n))
-    corr, bound = _em_tail(s, n_used, tol=1e-15)
-    # float-noise floor: each term n^{-s} carries a phase rounded through
-    # t*log n, so its absolute error scales like eps*|term|*(1 + |t| log n)
-    mags = np.exp(-s.real * log_n)
-    noise = _EPS * (float(np.sum(mags * (1.0 + abs(s.imag) * log_n))) + abs(corr))
-    err = float(bound) + 2.0 * noise
+    values, errs = _em_block(np.array([s.real]), np.array([s.imag]), 1e-15)
+    err = float(errs[0, 0])
     if err > 1e-8:
         raise ZetaAccuracyError(
             f"error bound {err:.2e} exceeds 1e-8 at s={s}")
-    return ZetaPoint(s=s, value=complex(main + corr), abs_err_bound=err)
+    return ZetaPoint(s=s, value=complex(values[0, 0]), abs_err_bound=err)
 
 
 def completed_xi(s: complex) -> complex:
@@ -256,15 +257,8 @@ def _rs_theta(t):
 
 def _z_block(t_block: np.ndarray) -> np.ndarray:
     """Z(t) on an ascending array of positive ordinates, one shared N."""
-    n_used = max(20, math.ceil(float(t_block[-1])))
-    n = np.arange(1, n_used, dtype=float)
-    log_n = np.log(n)
-    coeff = n ** -0.5
-    main = np.exp(-1j * np.outer(t_block, log_n)) @ coeff
-    s = 0.5 + 1j * t_block
-    corr, _ = _em_tail(s, n_used, tol=1e-12)
-    vals = main + corr
-    return (np.exp(1j * _rs_theta(t_block)) * vals).real
+    vals, _ = _em_block(np.array([0.5]), t_block, 1e-12)
+    return (np.exp(1j * _rs_theta(t_block)) * vals[:, 0]).real
 
 
 def riemann_siegel_Z(t: float) -> float:
@@ -283,7 +277,8 @@ def mean_zero_count(t: float) -> float:
 
 
 def find_zeros(t_max: float, grid: float = 0.05) -> ZeroList:
-    """Sign-scan Z on the grid and bisect each change to width 1e-9.
+    """Sign-scan Z on the grid and bisect each change to width 1e-9, the
+    tol the ZeroList reports.
 
     The count is checked against the smooth estimate; a mismatch beyond
     +-2 raises MissedZerosError (rerun with a finer grid).
@@ -305,7 +300,7 @@ def find_zeros(t_max: float, grid: float = 0.05) -> ZeroList:
     for i in flips:
         a, b = float(ts[i]), float(ts[i + 1])
         za = float(z[i])
-        while b - a > 1e-9:
+        while b - a > _ZERO_TOL:
             m = 0.5 * (a + b)
             zm = riemann_siegel_Z(m)
             if zm == 0.0:
@@ -325,7 +320,8 @@ def find_zeros(t_max: float, grid: float = 0.05) -> ZeroList:
         raise MissedZerosError(
             f"found {len(ordinates)} zeros to t={t_max} but the smooth count "
             f"gives {expected:.2f}; rerun with a finer grid than {grid}")
-    return ZeroList(ordinates=tuple(ordinates), tol=1e-6, t_max=float(t_max))
+    return ZeroList(ordinates=tuple(ordinates), tol=_ZERO_TOL,
+                    t_max=float(t_max))
 
 
 def unfold(zeros: ZeroList) -> np.ndarray:
@@ -408,13 +404,19 @@ def gue_sample(dim: int, trials: int, seed: int) -> np.ndarray:
 # --- spectral side -------------------------------------------------------------
 
 
-def spectral_zeta(eigenvalues, s: complex) -> complex:
-    """sum_n lambda_n^{-s} over a finite positive spectrum."""
+def _spectrum(eigenvalues) -> np.ndarray:
+    """A finite positive spectrum as a flat float array, or ValueError."""
     lam = np.asarray(eigenvalues, dtype=float).ravel()
     if lam.size == 0:
         raise ValueError("empty spectrum")
     if not np.all(np.isfinite(lam)) or np.any(lam <= 0.0):
         raise ValueError("eigenvalues must be finite and positive")
+    return lam
+
+
+def spectral_zeta(eigenvalues, s: complex) -> complex:
+    """sum_n lambda_n^{-s} over a finite positive spectrum."""
+    lam = _spectrum(eigenvalues)
     s = complex(s)
     return complex(np.sum(np.exp(-s * np.log(lam))))
 
@@ -425,11 +427,7 @@ def heat_trace_mellin(eigenvalues, s: float) -> float:
     Quadrature runs on u = log t; the normalized transform equals
     spectral_zeta for any finite positive spectrum.
     """
-    lam = np.asarray(eigenvalues, dtype=float).ravel()
-    if lam.size == 0:
-        raise ValueError("empty spectrum")
-    if not np.all(np.isfinite(lam)) or np.any(lam <= 0.0):
-        raise ValueError("eigenvalues must be finite and positive")
+    lam = _spectrum(eigenvalues)
     if not (s > 0.0 and math.isfinite(s)):
         raise ValueError(f"s must be positive and finite, got {s}")
 
@@ -495,27 +493,13 @@ def universality_scan(region: Disc, target, epsilon: float,
         tgt = np.array([complex(target(s)) for s in pts])
     k_steps = int(round(t_max / t_step))
     tvals = np.arange(k_steps, dtype=float) * t_step
-    im_pad = float(np.max(np.abs(pts.imag)))
     sup = np.empty(k_steps)
     err = np.empty(k_steps)
     chunk = 512
     for lo in range(0, k_steps, chunk):
-        tc = tvals[lo: lo + chunk]
-        n_used = max(20, math.ceil(tc[-1] + im_pad))
-        n = np.arange(1, n_used, dtype=float)
-        log_n = np.log(n)
-        p = np.exp(-np.outer(log_n, pts))               # n^{-s_j}
-        e = np.exp(-1j * np.outer(tc, log_n))           # e^{-it log n}
-        main = e @ p                                     # (chunk, points)
-        s_mat = pts[None, :] + 1j * tc[:, None]
-        corr, bound = _em_tail(s_mat, n_used, tol=1e-10)
-        sup[lo: lo + chunk] = np.max(np.abs(main + corr - tgt[None, :]), axis=1)
-        # zeta()'s noise floor eps*(sum |n^{-s}|(1 + |Im s| log n) + |corr|),
-        # split into two per-point sums so the (chunk, points) part stays cheap
-        mags = np.abs(p)
-        noise = _EPS * (mags.sum(axis=0) + np.abs(s_mat.imag)
-                        * (log_n @ mags) + np.abs(corr))
-        err[lo: lo + chunk] = np.max(bound + 2.0 * noise, axis=1)
+        vals, bounds = _em_block(pts, tvals[lo: lo + chunk], 1e-10)
+        sup[lo: lo + chunk] = np.max(np.abs(vals - tgt[None, :]), axis=1)
+        err[lo: lo + chunk] = np.max(bounds, axis=1)
     hits = sup < epsilon
     measure = float(np.count_nonzero(hits)) * t_step / t_max
     return UniversalityReport(region=region, epsilon=float(epsilon),

@@ -356,6 +356,13 @@ def test_loops_kernel_summary(capsys):
     assert rec["stability"] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_loops_default_lattice_is_stable(capsys, recwarn):
+    code, out = run(capsys, "loops", "kernel", "--no-timestamp")
+    assert code == 0
+    assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
+    assert json.loads(out)["stability"] <= 1.0
+
+
 def test_loops_propagator_final_slice(capsys):
     _, out = run(capsys, "loops", "propagator", *LAT, "--steps", "40",
                  "--x0", "0", "--no-timestamp")

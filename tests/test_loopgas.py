@@ -128,7 +128,8 @@ def test_kernel_constant_potential_factor():
 
 
 def test_kernel_positive_entries_periodic_free():
-    lat = make_lattice(-2.0, 2.0, 41, 0.25)
+    with pytest.warns(UserWarning):
+        lat = make_lattice(-2.0, 2.0, 41, 0.25)
     assert np.all(build_kernel(lat).matrix > 0.0)
 
 
@@ -357,14 +358,16 @@ def test_shannon_entropy_nondecreasing_free(fine_free):
 
 
 def test_open_paths_free_weights_one():
-    lat = make_lattice(-20.0, 20.0, 801, 0.01)
+    with pytest.warns(UserWarning):
+        lat = make_lattice(-20.0, 20.0, 801, 0.01)
     ens = sample_paths(lat, 500, 50, seed=1, mode="open")
     assert np.all(ens.weights == 1.0)
     assert ens.paths.shape == (500, 51)
 
 
 def test_open_paths_variance_growth():
-    lat = make_lattice(-20.0, 20.0, 801, 0.01)
+    with pytest.warns(UserWarning):
+        lat = make_lattice(-20.0, 20.0, 801, 0.01)
     ens = sample_paths(lat, 10 ** 5, 100, seed=3, mode="open")
     xs = lat.sites()
     dx = xs[ens.paths[:, -1]] - xs[ens.paths[:, 0]]

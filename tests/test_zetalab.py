@@ -210,8 +210,16 @@ def test_zero_ordinates_are_zeros_of_zeta(zeros_1000):
     for t in zeros_1000.ordinates[:3]:
         up = zeta(0.5 + 1j * t).value
         down = zeta(0.5 - 1j * t).value
-        assert abs(up) < zeros_1000.tol
+        assert abs(up) < 1e-6
         assert abs(abs(up) - abs(down)) < 1e-12
+
+
+def test_zero_tol_is_the_bracket_width(zeros_1000):
+    tol = zeros_1000.tol
+    assert tol == 1e-9
+    ords = zeros_1000.ordinates
+    for t in (*ords[:3], ords[999]):
+        assert riemann_siegel_Z(t - tol) * riemann_siegel_Z(t + tol) < 0.0
 
 
 def test_thousandth_zero(zeros_1000):
