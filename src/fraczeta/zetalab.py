@@ -38,6 +38,9 @@ _TWO_PI = 2.0 * math.pi
 _T_CEIL = 1.0e4
 _M_CAP = 60
 _ZERO_TOL = 1e-9      # bracket width find_zeros bisects to and reports
+_GRID_ROWS = 512      # shifts per grid chunk; a chunk shares one cutoff N
+_GRID_CELLS = 2 ** 21  # complex entries of the grid factor, 32 MB
+_BISECT_CHUNK = 128   # midpoints per _z_block call; each chunk gets its own N
 
 # B_{2k}/(2k)! for k = 0..cap, the only Bernoulli data the tail needs
 _B2F = bernoulli(2 * _M_CAP + 2)[0::2] / np.array(
@@ -69,11 +72,16 @@ class ZetaPoint:
 
 @dataclass(frozen=True)
 class ZeroList:
-    """Ordinates t with zeta(1/2+it) = 0, localized to bracket width tol."""
+    """Ordinates t with zeta(1/2+it) = 0, localized to bracket width tol.
+
+    min_sign_margin is the smallest |Z|/bound over the sign decisions that
+    placed the zeros; below 1, a decision was not certified by the bound.
+    """
 
     ordinates: tuple
     tol: float
     t_max: float
+    min_sign_margin: float = math.inf
 
     def __post_init__(self):
         ts = self.ordinates
@@ -125,25 +133,42 @@ class UniversalityReport:
 # --- evaluation core ----------------------------------------------------------
 
 
-def _em_block(base: np.ndarray, shifts: np.ndarray, tol: float):
+def _cutoff(base: np.ndarray, shifts: np.ndarray) -> int:
+    """The block's shared Euler-Maclaurin cutoff N = max(20, ceil(max |Im s|))."""
+    return max(20, math.ceil(np.abs(np.imag(base)[None, :]
+                                    + shifts[:, None]).max()))
+
+
+def _em_block(base: np.ndarray, shifts: np.ndarray, tol: float,
+              phases: np.ndarray | None = None):
     """zeta(b_j + i t_k) for base points b_j and ordinate shifts t_k.
 
     Returns (values, err), both shaped (shifts, base).  The whole block
-    shares one cutoff N = max(20, ceil(max |Im s|)); the main sum is
-    factored as exp(-i t_k log n) @ n^{-b_j}, with n^{-b_j} kept real
-    when the base is real.  Bernoulli terms are added until the remainder
-    bound drops to tol everywhere or the terms stop shrinking; err is
-    that bound plus twice the float-noise floor.
+    shares one cutoff N = _cutoff(base, shifts); the main sum is factored
+    as exp(-i t_k log n) @ n^{-b_j}, with n^{-b_j} kept real when the base
+    is real.  For shifts t_k = t_0 + k*step on a grid, phases may hold
+    the grid factor exp(-i k step log n) for k < rows (see _grid_chunks);
+    the main sum of each run of rows shifts from t_r on is then
+    phases @ (exp(-i t_r log n) n^{-b_j}).  Bernoulli terms are
+    added until the remainder bound drops to tol everywhere or the terms
+    stop shrinking; err is that bound plus twice the float-noise floor.
     """
     s = base[None, :] + 1j * shifts[:, None]
-    n_used = max(20, math.ceil(np.abs(s.imag).max()))
+    n_used = _cutoff(base, shifts)
     n = np.arange(1, n_used, dtype=float)
     log_n = np.log(n)
     if np.iscomplexobj(base):
         p = np.exp(-np.outer(log_n, base))
     else:
         p = n[:, None] ** -base
-    main = np.exp(-1j * np.outer(shifts, log_n)) @ p
+    if phases is None:
+        main = np.exp(-1j * np.outer(shifts, log_n)) @ p
+    else:
+        rows = phases.shape[0]
+        main = np.concatenate([
+            phases[:shifts[lo: lo + rows].size, :n.size]
+            @ (np.exp(-1j * shifts[lo] * log_n)[:, None] * p)
+            for lo in range(0, shifts.size, rows)])
     sigma = s.real
     big_n = float(n_used)
     ninvs = np.exp(-s * math.log(big_n))           # N^{-s}
@@ -168,6 +193,25 @@ def _em_block(base: np.ndarray, shifts: np.ndarray, tol: float):
     noise = _EPS * (mags.sum(axis=0) + np.abs(s.imag) * (log_n @ mags)
                     + np.abs(corr))
     return main + corr, bound + 2.0 * noise
+
+
+def _grid_chunks(base: np.ndarray, shifts: np.ndarray, step: float):
+    """Split the ascending grid shifts[k] = shifts[0] + k*step into chunks
+    of _GRID_ROWS shifts, each to share one cutoff in _em_block.
+
+    Yields (slice, phases) per chunk, where phases[k, n-1] =
+    exp(-i k step log n) is the grid factor _em_block takes.  It is built
+    once, with columns for the largest cutoff on the grid and at most
+    _GRID_ROWS rows, fewer when needed to stay within _GRID_CELLS entries.
+    """
+    if shifts.size == 0:
+        return
+    n_max = _cutoff(base, shifts[[0, -1]])         # |Im b + t| peaks at an end
+    rows = max(1, min(_GRID_ROWS, _GRID_CELLS // n_max))
+    log_n = np.log(np.arange(1, n_max, dtype=float))
+    phases = np.exp(-1j * np.outer(np.arange(rows) * step, log_n))
+    for lo in range(0, shifts.size, _GRID_ROWS):
+        yield slice(lo, min(lo + _GRID_ROWS, shifts.size)), phases
 
 
 def partial_zeta(s: complex, n_max: int) -> complex:
@@ -255,10 +299,11 @@ def _rs_theta(t):
     return out
 
 
-def _z_block(t_block: np.ndarray) -> np.ndarray:
-    """Z(t) on an ascending array of positive ordinates, one shared N."""
-    vals, _ = _em_block(np.array([0.5]), t_block, 1e-12)
-    return (np.exp(1j * _rs_theta(t_block)) * vals[:, 0]).real
+def _z_block(t_block: np.ndarray, phases: np.ndarray | None = None):
+    """Z(t) and its error bound on an ascending array of positive
+    ordinates, one shared N; phases as in _em_block."""
+    vals, err = _em_block(np.array([0.5]), t_block, 1e-12, phases)
+    return (np.exp(1j * _rs_theta(t_block)) * vals[:, 0]).real, err[:, 0]
 
 
 def riemann_siegel_Z(t: float) -> float:
@@ -267,7 +312,8 @@ def riemann_siegel_Z(t: float) -> float:
         raise ValueError(f"t must be positive and finite, got {t}")
     if t > _T_CEIL:
         raise ValueError(f"t is capped at {_T_CEIL:g}, got {t}")
-    return float(_z_block(np.array([t]))[0])
+    z, _ = _z_block(np.array([t]))
+    return float(z[0])
 
 
 def mean_zero_count(t: float) -> float:
@@ -276,9 +322,63 @@ def mean_zero_count(t: float) -> float:
     return x * math.log(x) - x + 0.875
 
 
+def _z_scan(t_max: float, grid: float):
+    """Z and its bound on t = grid, 2*grid, ... up to t_max, with t_max
+    appended when it is off the grid; returns (ts, z, bound).  The grid
+    goes through the factored route, an off-grid t_max through the
+    direct one."""
+    k = int(math.floor(t_max / grid + 1e-9))
+    ts = np.arange(1, k + 1, dtype=float) * grid
+    if ts.size == 0 or ts[-1] < t_max - 1e-12:
+        ts = np.append(ts, t_max)
+    z = np.empty_like(ts)
+    bound = np.empty_like(ts)
+    for sl, phases in _grid_chunks(np.array([0.5]), ts[:k], grid):
+        z[sl], bound[sl] = _z_block(ts[sl], phases)
+    if ts.size > k:
+        z[k:], bound[k:] = _z_block(ts[k:])
+    return ts, z, bound
+
+
+def _bisect(a: np.ndarray, b: np.ndarray, za: np.ndarray):
+    """Halve every bracket [a_i, b_i], Z(a_i) = za_i, until b - a <= _ZERO_TOL.
+
+    Each sweep evaluates the midpoints of all live brackets, in ascending
+    chunks of _BISECT_CHUNK; an exact zero at a midpoint closes its
+    bracket there.  Returns the bracket centres and the smallest |Z|/bound
+    at a midpoint.
+    """
+    a, b, za = a.copy(), b.copy(), za.copy()
+    margin = math.inf
+    live = np.nonzero(b - a > _ZERO_TOL)[0]
+    while live.size:
+        m = 0.5 * (a[live] + b[live])
+        zm = np.empty_like(m)
+        bound = np.empty_like(m)
+        for lo in range(0, m.size, _BISECT_CHUNK):
+            sl = slice(lo, lo + _BISECT_CHUNK)
+            zm[sl], bound[sl] = _z_block(m[sl])
+        margin = min(margin, float(np.min(np.abs(zm) / bound)))
+        hit = zm == 0.0
+        left = ~hit & ((za[live] < 0.0) == (zm < 0.0))
+        right = ~hit & ~left
+        a[live[left]], za[live[left]] = m[left], zm[left]
+        b[live[right]] = m[right]
+        a[live[hit]] = b[live[hit]] = m[hit]
+        live = live[b[live] - a[live] > _ZERO_TOL]
+    return 0.5 * (a + b), margin
+
+
 def find_zeros(t_max: float, grid: float = 0.05) -> ZeroList:
-    """Sign-scan Z on the grid and bisect each change to width 1e-9, the
-    tol the ZeroList reports.
+    """Sign-scan Z on the grid and bisect each sign change until the
+    bracket is at most 1e-9 wide; ZeroList.tol reports that bracket width.
+
+    The scan evaluates the evenly spaced grid through one factored grid
+    sum (_grid_chunks); the bisection halves all brackets together.
+    ZeroList.min_sign_margin is the smallest |Z|/bound over the scan
+    values at each sign change and over every bisection midpoint.  It is
+    reported, never raised on: a margin below 1 means the last halvings
+    went past what the Euler-Maclaurin bound certifies.
 
     The count is checked against the smooth estimate; a mismatch beyond
     +-2 raises MissedZerosError (rerun with a finer grid).
@@ -287,41 +387,21 @@ def find_zeros(t_max: float, grid: float = 0.05) -> ZeroList:
         raise ValueError(f"t_max must be in (0, {_T_CEIL:g}], got {t_max}")
     if not (0.0 < grid <= 0.1):
         raise ValueError(f"grid must be in (0, 0.1], got {grid}")
-    k = int(math.floor(t_max / grid + 1e-9))
-    ts = np.arange(1, k + 1, dtype=float) * grid
-    if ts.size == 0 or ts[-1] < t_max - 1e-12:
-        ts = np.append(ts, t_max)
-    z = np.empty_like(ts)
-    block = 4096
-    for lo in range(0, ts.size, block):
-        z[lo: lo + block] = _z_block(ts[lo: lo + block])
-    ordinates = []
+    ts, z, bound = _z_scan(t_max, grid)
     flips = np.nonzero(np.sign(z[:-1]) * np.sign(z[1:]) < 0)[0]
-    for i in flips:
-        a, b = float(ts[i]), float(ts[i + 1])
-        za = float(z[i])
-        while b - a > _ZERO_TOL:
-            m = 0.5 * (a + b)
-            zm = riemann_siegel_Z(m)
-            if zm == 0.0:
-                a = b = m
-                break
-            if (za < 0.0) == (zm < 0.0):
-                a, za = m, zm
-            else:
-                b = m
-        ordinates.append(0.5 * (a + b))
     exact_hits = np.nonzero(z == 0.0)[0]
-    for i in exact_hits:
-        ordinates.append(float(ts[i]))
-    ordinates.sort()
+    centres, margin = _bisect(ts[flips], ts[flips + 1], z[flips])
+    decided = np.concatenate([flips, flips + 1, exact_hits])
+    if decided.size:
+        margin = min(margin, float(np.min(np.abs(z[decided]) / bound[decided])))
+    ordinates = sorted(centres.tolist() + ts[exact_hits].tolist())
     expected = mean_zero_count(t_max)
     if abs(len(ordinates) - expected) > 2.0:
         raise MissedZerosError(
             f"found {len(ordinates)} zeros to t={t_max} but the smooth count "
             f"gives {expected:.2f}; rerun with a finer grid than {grid}")
     return ZeroList(ordinates=tuple(ordinates), tol=_ZERO_TOL,
-                    t_max=float(t_max))
+                    t_max=float(t_max), min_sign_margin=margin)
 
 
 def unfold(zeros: ZeroList) -> np.ndarray:
@@ -477,6 +557,9 @@ def universality_scan(region: Disc, target, epsilon: float,
     max_j |zeta(s_j + it) - target(s_j)| < epsilon.  Each step also
     carries err_bounds, the largest over j of the Euler-Maclaurin
     remainder bound plus the float-noise floor, as zeta() works them out.
+    The grid goes through one factored grid sum (_grid_chunks), whose
+    block width is about t_max + |Im center| + radius; that reach is
+    capped at 1e4 like zeta's, and beyond it ValueError is raised.
     """
     if not (region.center.real - region.radius > 0.5
             and region.center.real + region.radius < 1.0):
@@ -486,6 +569,10 @@ def universality_scan(region: Disc, target, epsilon: float,
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not (t_step > 0.0 and t_max >= t_step):
         raise ValueError("need t_step > 0 and t_max >= t_step")
+    reach = t_max + abs(region.center.imag) + region.radius
+    if not (reach <= _T_CEIL):
+        raise ValueError(f"t_max + |Im center| + radius is capped at "
+                         f"{_T_CEIL:g}, got {reach}")
     pts = region_grid(region)
     if target is None:
         tgt = np.array([zeta(s).value for s in pts])
@@ -495,11 +582,10 @@ def universality_scan(region: Disc, target, epsilon: float,
     tvals = np.arange(k_steps, dtype=float) * t_step
     sup = np.empty(k_steps)
     err = np.empty(k_steps)
-    chunk = 512
-    for lo in range(0, k_steps, chunk):
-        vals, bounds = _em_block(pts, tvals[lo: lo + chunk], 1e-10)
-        sup[lo: lo + chunk] = np.max(np.abs(vals - tgt[None, :]), axis=1)
-        err[lo: lo + chunk] = np.max(bounds, axis=1)
+    for sl, phases in _grid_chunks(pts, tvals, t_step):
+        vals, bounds = _em_block(pts, tvals[sl], 1e-10, phases)
+        sup[sl] = np.max(np.abs(vals - tgt[None, :]), axis=1)
+        err[sl] = np.max(bounds, axis=1)
     hits = sup < epsilon
     measure = float(np.count_nonzero(hits)) * t_step / t_max
     return UniversalityReport(region=region, epsilon=float(epsilon),

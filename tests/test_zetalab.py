@@ -4,7 +4,10 @@ Reference values were generated once with tests/oracles/zeta_reference.py
 (mpmath at 40 digits) and are frozen here.
 """
 
+import hashlib
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +33,10 @@ from fraczeta.zetalab import (
     unfold,
     universality_scan,
     zeta,
+    _em_block,
+    _grid_chunks,
+    _z_block,
+    _z_scan,
 )
 
 # mpmath (40 digits), rounded to double.
@@ -54,6 +61,17 @@ XI_03_5J = 0.27552016666804474 - 0.013309198198120313j
 THETA_20 = 1.1868948084444841
 THETA_5 = -3.4596203753634627
 Z_30 = 0.596028519239885
+
+
+# sha256 of the float64 bytes of find_zeros(1419.5).ordinates as produced by
+# the direct-scan, scalar-bisection reference route
+ZEROS_1000_SHA256 = (
+    "68f8656aea5020f5da5d2232fa4fc12fb720c3a49b2c161f06c67cc1874fee66")
+
+_spec = importlib.util.spec_from_file_location(
+    "bisect_reference", Path(__file__).parent / "oracles" / "bisect_reference.py")
+bisect_reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bisect_reference)
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +238,66 @@ def test_zero_tol_is_the_bracket_width(zeros_1000):
     ords = zeros_1000.ordinates
     for t in (*ords[:3], ords[999]):
         assert riemann_siegel_Z(t - tol) * riemann_siegel_Z(t + tol) < 0.0
+
+
+@pytest.mark.parametrize("t_max", [200.0, 100.03])
+def test_find_zeros_matches_scalar_bisection(t_max):
+    got = find_zeros(t_max).ordinates
+    assert np.array_equal(got, bisect_reference.find_zeros(t_max))
+
+
+def test_zeros_1000_hash_pinned(zeros_1000):
+    digest = hashlib.sha256(np.array(zeros_1000.ordinates).tobytes()).hexdigest()
+    assert digest == ZEROS_1000_SHA256
+
+
+def test_min_sign_margin_reported(zeros_1000):
+    margin = zeros_1000.min_sign_margin
+    assert math.isfinite(margin) and margin > 0.0
+    assert find_zeros(5.0).min_sign_margin == math.inf
+
+
+def _assert_each_within_the_others_err(a, err_a, b, err_b):
+    diff = np.abs(a - b)
+    assert np.all(diff <= err_a) and np.all(diff <= err_b)
+
+
+@pytest.mark.parametrize("t0, step, phase_rows", [
+    (10.0, 0.05, 512),
+    (4000.0, 0.9, 420),     # cutoff 4990: fewer phase rows than a chunk
+])
+def test_grid_route_matches_direct_ragged_grid(t0, step, phase_rows):
+    base = np.array([0.5])
+    shifts = t0 + np.arange(1100) * step
+    chunks = list(_grid_chunks(base, shifts, step))
+    assert [sl.stop - sl.start for sl, _ in chunks] == [512, 512, 76]
+    assert chunks[0][1].shape[0] == phase_rows
+    for sl, phases in chunks:
+        grid_vals, grid_err = _em_block(base, shifts[sl], 1e-12, phases)
+        vals, err = _em_block(base, shifts[sl], 1e-12)
+        _assert_each_within_the_others_err(grid_vals, grid_err, vals, err)
+
+
+def test_grid_route_off_axis_disc():
+    # Im center = 0.3 raises the cutoff above t_max; the phase columns
+    # must cover it
+    pts = region_grid(Disc(0.75 + 0.3j, 0.05))
+    shifts = np.arange(1200) * 0.05
+    for sl, phases in _grid_chunks(pts, shifts, 0.05):
+        grid_vals, grid_err = _em_block(pts, shifts[sl], 1e-10, phases)
+        vals, err = _em_block(pts, shifts[sl], 1e-10)
+        _assert_each_within_the_others_err(grid_vals, grid_err, vals, err)
+
+
+def test_grid_route_scan_off_grid_t_max():
+    ts, z, bound = _z_scan(100.03, 0.05)
+    assert ts.size == 2001 and ts[-1] == 100.03
+    for sl, _ in _grid_chunks(np.array([0.5]), ts[:-1], 0.05):
+        z_direct, bound_direct = _z_block(ts[sl])
+        _assert_each_within_the_others_err(z[sl], bound[sl],
+                                           z_direct, bound_direct)
+    z_last, bound_last = _z_block(ts[-1:])      # the off-grid end goes direct
+    assert z[-1] == z_last[0] and bound[-1] == bound_last[0]
 
 
 def test_thousandth_zero(zeros_1000):
@@ -434,3 +512,13 @@ def test_scan_region_validation():
         universality_scan(Disc(0.75 + 0.0j, 0.05), None, 0.3, 1.0, 2.0)
     with pytest.raises(ValueError):
         Disc(0.75 + 0.0j, -0.1)
+
+
+def test_scan_reach_is_capped():
+    # each of these fails validation before the t grid is allocated
+    with pytest.raises(ValueError, match="capped"):
+        universality_scan(Disc(0.75 + 0.0j, 0.05), None, 0.3, 1e12, 0.05)
+    with pytest.raises(ValueError, match="capped"):
+        universality_scan(Disc(0.75 + 0.0j, 0.05), None, 0.3, math.inf, 0.05)
+    with pytest.raises(ValueError, match="capped"):
+        universality_scan(Disc(0.75 + 0.5j, 0.05), None, 0.3, 9999.5, 0.05)
