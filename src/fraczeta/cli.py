@@ -25,9 +25,9 @@ from .fitkit import fit_cole_cole, load_spectrum, save_spectrum, synth_spectrum
 from .fracdyn import (ColeColeModel, TwistedShift, arc_fit,
                       cole_cole_impedance, gl_fracderiv, mittag_leffler,
                       phase_angles, twisted_compose)
-from .loopgas import (_evolve, build_kernel, fluctuation_bound,
-                      forward_backward, make_lattice, mc_propagator,
-                      path_entropies, propagator, sample_paths, thermal_time)
+from .loopgas import (build_kernel, fluctuation_bound, forward_backward,
+                      make_lattice, mc_propagator, path_entropies, propagator,
+                      propagator_slices, sample_paths, thermal_time)
 from .zetalab import (Disc, completed_xi, find_zeros, gue_sample,
                       heat_trace_mellin, pair_correlation, spectral_zeta,
                       unfold, universality_scan, zeta)
@@ -380,15 +380,14 @@ def _cmd_loops_kernel(args) -> int:
 def _cmd_loops_propagator(args) -> int:
     lat = _lattice_from_args(args)
     xs = lat.sites()
-    v = np.zeros(lat.n_sites)
-    v[_site_of(lat, args.x0)] = 1.0
     rows = []
-    evolve = _evolve(build_kernel(lat).matrix, v, args.steps)
-    for step, v in enumerate(evolve, start=1):
+    slices = propagator_slices(build_kernel(lat), _site_of(lat, args.x0),
+                               args.steps)
+    for step, q in enumerate(slices, start=1):
         if args.all_steps or step == args.steps:
             t = step * lat.eps
-            rows.extend((float(t), float(x), float(q / lat.delta))
-                        for x, q in zip(xs, v))
+            rows.extend((float(t), float(x), float(qx))
+                        for x, qx in zip(xs, q))
     return _emit(args, "loops propagator", columns=("t", "x", "value"),
                  rows=rows, default_format="csv")
 

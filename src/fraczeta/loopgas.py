@@ -177,6 +177,18 @@ def _evolve(matrix: np.ndarray, v: np.ndarray, n_steps: int):
         yield v
 
 
+def propagator_slices(kernel: TransferKernel, x0: int, n_steps: int):
+    """Yield the density row q(x0 -> ., k*eps) = T^k e_x0 / delta for
+    k = 1..n_steps, one matvec each; its last row holds propagator's value."""
+    _check_sites(kernel, x0)
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    v = np.zeros(kernel.matrix.shape[0])
+    v[x0] = 1.0
+    for v in _evolve(kernel.matrix, v, n_steps):
+        yield v / kernel.delta
+
+
 def propagator(kernel: TransferKernel, x0: int, x1: int, n_steps: int) -> float:
     """Density q(x0 -> x1, n_steps*eps) = (T^n)[x0, x1] / delta."""
     _check_sites(kernel, x0, x1)
@@ -272,27 +284,36 @@ def _sample_bridge(g: np.ndarray, start: int, end: int, n_steps: int,
     """Exact lattice bridge: forward categorical sampling of the free
     chain pinned at both ends, using backward partials b_j = G^j[:, end].
 
-    One n x n cumsum per step serves all paths: those at site i search
-    row i.  Rows are nondecreasing (G, b >= 0), so searchsorted "left"
-    counts the entries below u, the same count as one gathered row per path.
+    One n x n cumsum per step serves all paths: a path at site i counts
+    the entries of row i below its draw u, the same count as one gathered
+    row per path.  Rows sit in an (n, W) buffer, W = 2^bit_length(n) > n,
+    whose tail is +inf.  A row is nondecreasing (G, b >= 0) and the pad
+    is never below u, so the padded row has the same count of entries
+    below u, and one branchless lower-bound search of log2(W) halvings
+    finds it for every path at once.
     """
     n = g.shape[0]
     e_end = np.zeros(n)
     e_end[end] = 1.0  # b_0 = e_end, used only to seed the recursion
     b = np.array([e_end, *_evolve(g, e_end, n_steps - 1)])
+    width = 1 << n.bit_length()
+    buf = np.full((n, width), np.inf)
+    flat = buf.reshape(-1)
     paths = np.empty((n_paths, n_steps + 1), dtype=np.int64)
     paths[:, 0] = start
     paths[:, n_steps] = end
     for lo in range(0, n_paths, _CHUNK):
         cur = np.full(min(_CHUNK, n_paths - lo), start, dtype=np.int64)
         for k in range(1, n_steps):
-            cs = np.cumsum(g * b[n_steps - k], axis=1)
-            u = rng.random(cur.size) * cs[cur, -1]
-            order = np.argsort(cur, kind="stable")
-            sites, first = np.unique(cur[order], return_index=True)
-            for site, group in zip(sites, np.split(order, first[1:])):
-                cur[group] = np.searchsorted(cs[site], u[group], side="left")
-            cur = np.minimum(cur, n - 1)
+            np.cumsum(g * b[n_steps - k], axis=1, out=buf[:, :n])
+            u = rng.random(cur.size) * buf[cur, n - 1]
+            row = cur * width
+            pos = row.copy()
+            step = width >> 1
+            while step:
+                pos += step * (flat[pos + (step - 1)] < u)
+                step >>= 1
+            cur = np.minimum(pos - row, n - 1)
             paths[lo: lo + cur.size, k] = cur
     return paths
 
@@ -314,8 +335,8 @@ def sample_paths(lattice: LoopLattice, n_paths: int, n_steps: int, seed: int,
     open mode: continuum Gaussian increments of variance hbar*eps/m,
     folded at the boundary and snapped to the nearest site for recording.
     loop mode: lattice Brownian bridge pinned to the start site (end_site
-    may override the return point, giving a pinned open bridge).
-    Deterministic per seed.
+    may override the return point, giving a pinned open bridge; open mode
+    has no end point and rejects it).  Deterministic per seed.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
@@ -323,6 +344,9 @@ def sample_paths(lattice: LoopLattice, n_paths: int, n_steps: int, seed: int,
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if mode not in ("open", "loop"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "open" and end_site is not None:
+        raise ValueError("end_site pins a loop-mode bridge; open paths "
+                         "have a free end")
     start = lattice.n_sites // 2 if start_site is None else start_site
     _check_sites(lattice, start)
     rng = np.random.default_rng(seed)

@@ -433,6 +433,10 @@ def test_loops_propagator_rejects_offgrid_start(capsys):
     assert dispatch(["loops", "propagator", *LAT, "--x0", "9.5"]) == 1
 
 
+def test_loops_propagator_rejects_zero_steps(capsys):
+    assert dispatch(["loops", "propagator", *LAT, "--steps", "0"]) == 1
+
+
 # --- applied-surface commands -----------------------------------------------------
 
 

@@ -26,6 +26,7 @@ from fraczeta.loopgas import (
     path_entropies,
     path_entropy,
     propagator,
+    propagator_slices,
     sample_paths,
     thermal_time,
     _CHUNK,
@@ -175,6 +176,27 @@ def test_propagator_validation(fine_free):
         propagator(k, -1, 5, 10)
     with pytest.raises(TypeError):
         propagator(k, 0.5, 5, 10)
+
+
+def test_propagator_slices_match_propagator(fine_harmonic):
+    _, k = fine_harmonic
+    slices = list(propagator_slices(k, 90, 12))
+    assert len(slices) == 12
+    for step in (1, 5, 12):
+        q = slices[step - 1]
+        assert q.shape == (k.matrix.shape[0],)
+        for x1 in (80, 90, 104):
+            assert q[x1] == propagator(k, 90, x1, step)
+
+
+def test_propagator_slices_validation(fine_free):
+    _, k = fine_free
+    with pytest.raises(ValueError):
+        next(propagator_slices(k, 5, 0))
+    with pytest.raises(ValueError):
+        next(propagator_slices(k, -1, 10))
+    with pytest.raises(TypeError):
+        next(propagator_slices(k, 0.5, 10))
 
 
 # --- loop integral and entropy ----------------------------------------------------
@@ -409,6 +431,10 @@ def test_sampling_validation(fine_free):
         sample_paths(lat, 10, 0, seed=0)
     with pytest.raises(ValueError):
         sample_paths(lat, 10, 10, seed=0, mode="bridge")
+    with pytest.raises(ValueError, match="end_site"):
+        sample_paths(lat, 5, 10, seed=0, mode="open", end_site=10 ** 6)
+    with pytest.raises(ValueError, match="end_site"):
+        sample_paths(lat, 5, 10, seed=0, mode="open", end_site=100)
     with pytest.raises(ValueError):
         PathEnsemble(n_paths=1, n_steps=1, seed=0,
                      paths=np.zeros((1, 2), dtype=np.int64),
@@ -450,16 +476,38 @@ def test_loop_lattice_direct_construction_validates():
                     boundary="periodic")
 
 
-@pytest.mark.parametrize("boundary, n_sites, start, end, n_steps, n_paths", [
-    ("periodic", 161, 80, 80, 60, 3000),
-    ("reflecting", 161, 30, 100, 40, 3000),
-    ("reflecting", 41, 3, 0, 5, _CHUNK + 1234),  # crosses the chunk boundary
-    ("periodic", 161, 80, 80, 1, 500),
-    ("periodic", 161, 70, 90, 2, 500),
-])
+# boundary, n_sites, start, end, n_steps, n_paths, make_lattice overrides;
+# the search pads each row to W = 2^bit_length(n_sites) sites
+_BRIDGE_CASES = [
+    ("periodic", 161, 80, 80, 60, 3000, {}),
+    ("reflecting", 161, 30, 100, 40, 3000, {}),
+    ("reflecting", 41, 3, 0, 5, _CHUNK + 1234, {}),  # crosses the chunk boundary
+    ("periodic", 161, 80, 80, 1, 500, {}),
+    ("periodic", 161, 70, 90, 2, 500, {}),
+    # fewest sites, W = 4
+    ("periodic", 3, 1, 1, 30, 2000, dict(x_min=-1.0, x_max=1.0, eps=0.5)),
+    ("reflecting", 3, 0, 2, 7, 2000, dict(x_min=-1.0, x_max=1.0, eps=0.5)),
+    # powers of two, W = 2n
+    ("reflecting", 8, 0, 7, 25, 2000, dict(x_min=-2.0, x_max=2.0, eps=0.2)),
+    ("periodic", 64, 10, 50, 30, 2000, dict(eps=0.05)),
+    # the benchmark's Monte Carlo lattice, start != end
+    ("periodic", 201, 90, 110, 100, 2000,
+     dict(eps=0.005, potential=lambda x: 0.5 * x * x)),
+    # sites >= 32 of 41 (W = 64): the search reads the +inf pad every step
+    ("reflecting", 41, 36, 40, 20, 2000, dict(eps=0.05)),
+    # narrow kernel: underflowed zeros make long runs of equal cumsum entries
+    ("periodic", 161, 80, 85, 40, 2000, dict(eps=5e-4)),
+]
+
+
+@pytest.mark.parametrize(
+    "boundary, n_sites, start, end, n_steps, n_paths, lattice_kw",
+    [pytest.param(*case, id="-".join(str(v) for v in case[:6]))
+     for case in _BRIDGE_CASES])
 def test_bridge_matches_reference_route(boundary, n_sites, start, end,
-                                        n_steps, n_paths):
-    lat = _quiet_lattice(-8.0, 8.0, n_sites, 0.01, boundary=boundary)
+                                        n_steps, n_paths, lattice_kw):
+    kw = {"x_min": -8.0, "x_max": 8.0, "eps": 0.01, **lattice_kw}
+    lat = _quiet_lattice(n_sites=n_sites, boundary=boundary, **kw)
     g = _free_gaussian(lat)
     got = _sample_bridge(g, start, end, n_steps, n_paths,
                          np.random.default_rng(21))
