@@ -201,13 +201,14 @@ def _cmd_ml(args) -> int:
 def _cmd_fracderiv(args) -> int:
     if args.input:
         t, f = _read_two_columns(args.input, ("t", "f"))
-        h = float(t[1] - t[0])
-        if t.size < 2 or np.max(np.abs(np.diff(t) - h)) > 1e-9 * max(h, 1.0):
-            raise ValueError(f"{args.input}: t column must be uniformly spaced")
     else:
         t = np.linspace(0.0, args.t_max, args.n)
-        h = float(t[1] - t[0])
         f = np.sqrt(t) if args.fn == "sqrt" else np.ones_like(t)
+    if t.size < 2:
+        raise ValueError(f"need >= 2 grid points, got {t.size}")
+    h = float(t[1] - t[0])
+    if args.input and np.max(np.abs(np.diff(t) - h)) > 1e-9 * max(h, 1.0):
+        raise ValueError(f"{args.input}: t column must be uniformly spaced")
     d = gl_fracderiv(f, args.alpha, h)
     rows = [(float(ti), float(di)) for ti, di in zip(t, d)]
     return _emit(args, "fracderiv", columns=("t", "value"), rows=rows,

@@ -15,22 +15,39 @@ with a disjointness certificate.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
+import numpy as np
+
 _N_MAX = 2 ** 63 - 1
-_TRIAL_BOUND = 10 ** 6
+_SIEVE_LIMIT = 10 ** 6
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+def primes_upto(limit: int) -> np.ndarray:
+    """Sieve of Eratosthenes: every prime p <= limit, ascending."""
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p:: p] = False
+    return np.flatnonzero(flags)
+
+
+@functools.cache
+def _small_primes() -> tuple[tuple[int, ...], frozenset[int]]:
+    """The primes up to 10^6, ascending and as a set, built on first use."""
+    primes = tuple(primes_upto(_SIEVE_LIMIT).tolist())
+    return primes, frozenset(primes)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; the witness set covers all n < 3.3e24."""
-    if n < 2:
-        return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
+    """Sieve lookup to 10^6, then deterministic Miller-Rabin (exact below 3.3e24)."""
+    if n <= _SIEVE_LIMIT:
+        return n in _small_primes()[1]
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -65,11 +82,6 @@ class PrimeVector:
                 raise ValueError(f"exponent of {p} must be a positive integer, got {r}")
             checked[p] = r
         object.__setattr__(self, "coords", checked)
-
-    def __eq__(self, other):
-        if not isinstance(other, PrimeVector):
-            return NotImplemented
-        return self.coords == other.coords
 
     def __hash__(self):
         return hash(tuple(self.coords.items()))
@@ -177,8 +189,8 @@ def _rho_split(n: int) -> int:
 def factorize(n: int) -> PrimeVector:
     """Complete prime factorization of 1 <= n <= 2^63 - 1.
 
-    Trial division up to 10^6, then deterministic Miller-Rabin plus rho
-    splitting for whatever survives; exact over the full input range.
+    Trial division by the sieve's primes, then deterministic Miller-Rabin
+    plus rho splitting for whatever survives; exact over the full range.
     """
     if isinstance(n, bool) or not isinstance(n, int):
         raise TypeError(f"n must be an integer, got {type(n).__name__}")
@@ -187,24 +199,15 @@ def factorize(n: int) -> PrimeVector:
     if n > _N_MAX:
         raise ValueError(f"n must be <= 2^63 - 1, got {n}")
     coords: dict[int, int] = {}
-    for d in (2, 3, 5):
-        while n % d == 0:
-            coords[d] = coords.get(d, 0) + 1
-            n //= d
-    d = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)  # steps skipping multiples of 2, 3, 5
-    w = 0
-    while d * d <= n and d < _TRIAL_BOUND:
-        while n % d == 0:
-            coords[d] = coords.get(d, 0) + 1
-            n //= d
-        d += wheel[w]
-        w = (w + 1) % 8
+    for p in _small_primes()[0]:
+        if p * p > n:
+            break
+        while n % p == 0:
+            coords[p] = coords.get(p, 0) + 1
+            n //= p
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             coords[m] = coords.get(m, 0) + 1
             continue

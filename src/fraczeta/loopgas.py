@@ -227,8 +227,10 @@ def path_entropy(kernel: TransferKernel, n_steps: int) -> float:
 
 
 def path_entropies(kernel: TransferKernel, n_steps: int) -> np.ndarray:
-    """path_entropy(kernel, n) for n = 1..n_steps (empty if n_steps < 1),
-    bit for bit, from one eigensolve."""
+    """path_entropy(kernel, n) for n = 1..n_steps, bit for bit, from one
+    eigensolve."""
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     return np.array([_log_partition(z) for z in
                      _power_traces(kernel, range(1, n_steps + 1))])
 

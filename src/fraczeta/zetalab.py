@@ -33,6 +33,8 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import bernoulli, gamma as _gamma_fn, loggamma
 
+from .eprspace import primes_upto
+
 _EPS = 2.220446049250313e-16
 _TWO_PI = 2.0 * math.pi
 _T_CEIL = 1.0e4
@@ -226,15 +228,6 @@ def partial_zeta(s: complex, n_max: int) -> complex:
     return complex(total)
 
 
-def _primes_upto(limit: int) -> np.ndarray:
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p:: p] = False
-    return np.nonzero(sieve)[0]
-
-
 def euler_product(s: complex, p_max: int) -> complex:
     """prod_{p <= p_max} (1 - p^{-s})^{-1}; needs Re s > 1."""
     s = complex(s)
@@ -242,7 +235,7 @@ def euler_product(s: complex, p_max: int) -> complex:
         raise ValueError(f"Euler product requires Re s > 1, got {s.real}")
     if p_max < 2:
         raise ValueError(f"p_max must be >= 2, got {p_max}")
-    p = _primes_upto(p_max).astype(float)
+    p = primes_upto(p_max).astype(float)
     return complex(np.prod(1.0 / (1.0 - np.exp(-s * np.log(p)))))
 
 

@@ -19,6 +19,12 @@ CASES = [
     9223372021822390277,    # 2147483647 * 4294967291, near the upper bound
     600851475143,
     2305843009213693951,    # 2^61 - 1, a Mersenne prime
+    999983,                 # largest prime below 10^6
+    1000003,                # smallest prime above 10^6
+    1000000,
+    999966000289,           # 999983^2
+    2000006,                # 2 * 1000003
+    999985999949,           # 999983 * 1000003
 ]
 
 if __name__ == "__main__":

@@ -216,6 +216,14 @@ def test_fracderiv_rejects_uneven_grid(tmp_path, capsys):
     assert dispatch(["fracderiv", "--input", str(path)]) == 1
 
 
+def test_fracderiv_rejects_single_point_grid(tmp_path, capsys):
+    path = tmp_path / "f.csv"
+    path.write_text("t,f\n0.0,0.0\n")
+    for grid in (["--input", str(path)], ["--n", "1"], ["--n", "0"]):
+        assert dispatch(["fracderiv", *grid]) == 1
+        assert capsys.readouterr().err.startswith("error: need >= 2 grid points")
+
+
 def test_twist_matches_library(capsys):
     _, out = run(capsys, "twist", "3", "-1", "0.125", "2", "5", "0.375",
                  "--delta", "0.25", "--no-timestamp")
@@ -435,6 +443,11 @@ def test_loops_propagator_rejects_offgrid_start(capsys):
 
 def test_loops_propagator_rejects_zero_steps(capsys):
     assert dispatch(["loops", "propagator", *LAT, "--steps", "0"]) == 1
+
+
+def test_loops_entropy_rejects_zero_steps(capsys):
+    assert dispatch(["loops", "entropy", *LAT, "--steps", "0"]) == 1
+    assert capsys.readouterr().err == "error: n_steps must be >= 1, got 0\n"
 
 
 # --- applied-surface commands -----------------------------------------------------

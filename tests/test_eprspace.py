@@ -4,7 +4,9 @@ Frozen factorizations come from tests/oracles/factor_reference.py
 (sympy.factorint, each entry verified by multiplication).
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +41,12 @@ FACTOR_TABLE = {
     9223372021822390277: {2147483647: 1, 4294967291: 1},
     600851475143: {71: 1, 839: 1, 1471: 1, 6857: 1},
     2305843009213693951: {2305843009213693951: 1},
+    999983: {999983: 1},                    # largest prime in the sieve
+    1000003: {1000003: 1},                  # smallest prime above it
+    1000000: {2: 6, 5: 6},
+    999966000289: {999983: 2},
+    2000006: {2: 1, 1000003: 1},
+    999985999949: {999983: 1, 1000003: 1},
 }
 
 
@@ -54,6 +62,17 @@ def test_factorize_frozen_table():
         v = factorize(n)
         assert v.coords == expected
         assert to_int(v) == n
+
+
+def test_factor_table_matches_oracle():
+    sympy = pytest.importorskip("sympy")
+    spec = importlib.util.spec_from_file_location(
+        "factor_reference", Path(__file__).parent / "oracles" / "factor_reference.py")
+    factor_reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(factor_reference)
+    assert list(FACTOR_TABLE) == factor_reference.CASES
+    for n, expected in FACTOR_TABLE.items():
+        assert sympy.factorint(n) == expected, n
 
 
 def test_factorize_validation():
@@ -89,16 +108,23 @@ def test_unique_factorization_range():
 
 
 def test_primality_against_sieve():
-    limit = 10 ** 4
+    # covers both sides of is_prime's switch from lookup to Miller-Rabin at 1e6
+    limit = 1_001_000
     sieve = np.ones(limit + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, int(limit ** 0.5) + 1):
         if sieve[p]:
             sieve[p * p:: p] = False
-    for n in range(limit + 1):
+    for n in [*range(10 ** 4 + 1), *range(999_000, limit + 1)]:
         assert is_prime(n) == bool(sieve[n]), n
-    # Carmichael numbers fool Fermat but not Miller-Rabin
-    for n in (561, 1105, 1729, 41041, 825265):
+    # Carmichael numbers fool Fermat but not Miller-Rabin; the last three
+    # lie above the sieve, so Miller-Rabin itself must reject them
+    for n in (561, 1105, 1729, 41041, 825265, 1024651, 1152271, 1461241):
+        assert not is_prime(n)
+    # strong pseudoprimes to the first 4, 5, 6, 8 and 11 prime bases; the
+    # last one passes every Miller-Rabin witness but 37
+    for n in (3215031751, 2152302898747, 3474749660383, 341550071728321,
+              3825123056546413051):
         assert not is_prime(n)
     assert is_prime(2 ** 31 - 1)
     assert is_prime(2 ** 61 - 1)

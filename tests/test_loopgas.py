@@ -248,7 +248,8 @@ def test_path_entropies_match_single_steps(fine_harmonic):
     _, k = fine_harmonic
     curve = path_entropies(k, 12)
     assert curve.tolist() == [path_entropy(k, n) for n in range(1, 13)]
-    assert path_entropies(k, 0).size == 0
+    with pytest.raises(ValueError, match="n_steps must be >= 1"):
+        path_entropies(k, 0)
 
 
 def test_partition_validation(fine_free):
