@@ -12,6 +12,8 @@ ignored, so one file can serve every subcommand.  Exit codes: 0 success,
 """
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -21,7 +23,8 @@ import numpy as np
 
 from .eprspace import (Rectangle, factorize, fiber_copies, lcm_gcd, pair,
                        to_int, trace_exp, unpair)
-from .fitkit import fit_cole_cole, load_spectrum, save_spectrum, synth_spectrum
+from .fitkit import (fit_cole_cole, load_spectrum, read_table, save_spectrum,
+                     synth_spectrum)
 from .fracdyn import (ColeColeModel, TwistedShift, arc_fit,
                       cole_cole_impedance, gl_fracderiv, mittag_leffler,
                       phase_angles, twisted_compose)
@@ -51,8 +54,6 @@ def _cell(v) -> str:
     v = _py(v)
     if isinstance(v, bool):
         return "1" if v else "0"
-    if isinstance(v, float):
-        return repr(v)
     if isinstance(v, (dict, list)):
         return json.dumps(v, separators=(",", ":"))
     return str(v)
@@ -60,42 +61,33 @@ def _cell(v) -> str:
 
 def _emit(args, command, *, record=None, columns=None, rows=None,
           default_format="json", seed_used=None) -> int:
-    fmt = args.format or default_format
-    lines = []
-    if fmt == "csv":
-        lines.append(f"# command: fraczeta {command}")
-        if seed_used is not None:
-            lines.append(f"# seed: {seed_used}")
-        if not args.no_timestamp:
-            lines.append(f"# timestamp: {_now_iso()}")
+    """Write one record (a dict) or one table (columns and rows) as CSV,
+    RFC 4180 quoted under '#' metadata lines, or as one JSON object; a
+    record in CSV is the two-column table key,value."""
+    meta = {} if seed_used is None else {"seed": int(seed_used)}
+    if not args.no_timestamp:
+        meta["timestamp"] = datetime.now(timezone.utc).isoformat()
+    if (args.format or default_format) == "csv":
         if record is not None:
-            lines.append("key,value")
-            for k, v in record.items():
-                lines.append(f"{k},{_cell(v)}")
-        else:
-            lines.append(",".join(columns))
-            for row in rows:
-                lines.append(",".join(_cell(v) for v in row))
-        text = "\n".join(lines) + "\n"
+            columns, rows = ("key", "value"), record.items()
+        buf = io.StringIO()
+        buf.write(f"# command: fraczeta {command}\n")
+        buf.writelines(f"# {k}: {v}\n" for k, v in meta.items())
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+        text = buf.getvalue()
     else:
-        obj = dict(record) if record is not None else \
-            {"columns": list(columns), "rows": [[_py(v) for v in r] for r in rows]}
-        obj = {k: _py(v) for k, v in obj.items()} if record is not None else obj
-        if seed_used is not None:
-            obj["seed"] = int(seed_used)
-        if not args.no_timestamp:
-            obj["timestamp"] = _now_iso()
-        text = json.dumps(obj, separators=(",", ":")) + "\n"
+        obj = record if record is not None else {"columns": list(columns),
+                                                 "rows": rows}
+        text = json.dumps({**obj, **meta}, separators=(",", ":"),
+                          default=_py) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
     return 0
-
-
-def _now_iso() -> str:
-    return datetime.now(timezone.utc).isoformat()
 
 
 # --- config file -----------------------------------------------------------------
@@ -185,7 +177,7 @@ def _cmd_arc(args) -> int:
     rec = {"center_re_ohm": fit.center.real, "center_im_ohm": fit.center.imag,
            "radius_ohm": fit.radius,
            "depression_angle_rad": fit.depression_angle,
-           "alpha_implied": 1.0 - 2.0 * fit.depression_angle / math.pi,
+           "alpha_implied": fit.alpha_implied,
            "rms_residual_ohm": fit.rms_residual}
     return _emit(args, "arc", record=rec)
 
@@ -200,7 +192,7 @@ def _cmd_ml(args) -> int:
 
 def _cmd_fracderiv(args) -> int:
     if args.input:
-        t, f = _read_two_columns(args.input, ("t", "f"))
+        t, f = read_table(args.input, "t,f").T
     else:
         t = np.linspace(0.0, args.t_max, args.n)
         f = np.sqrt(t) if args.fn == "sqrt" else np.ones_like(t)
@@ -213,24 +205,6 @@ def _cmd_fracderiv(args) -> int:
     rows = [(float(ti), float(di)) for ti, di in zip(t, d)]
     return _emit(args, "fracderiv", columns=("t", "value"), rows=rows,
                  default_format="csv")
-
-
-def _read_two_columns(path, names):
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != ",".join(names):
-        raise ValueError(f"{path}: first line must be {','.join(names)!r}")
-    a, b = [], []
-    for i, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"{path}: line {i}: expected 2 values")
-        try:
-            a.append(float(parts[0]))
-            b.append(float(parts[1]))
-        except ValueError:
-            raise ValueError(f"{path}: line {i}: non-numeric value") from None
-    return np.asarray(a), np.asarray(b)
 
 
 def _cmd_phase(args) -> int:
@@ -472,9 +446,8 @@ def _cmd_synth(args) -> int:
     if args.out:
         save_spectrum(spec, args.out)
         rec = {"written": args.out, "n_points": len(spec.points)}
-        out_args = argparse.Namespace(out=None, format="json",
-                                      no_timestamp=args.no_timestamp)
-        return _emit(out_args, "synth", record=rec, seed_used=args.seed)
+        args.out = None  # the spectrum took --out; the record goes to stdout
+        return _emit(args, "synth", record=rec, seed_used=args.seed)
     rows = [(w / (2.0 * math.pi), z.real, z.imag) for w, z in spec.points]
     return _emit(args, "synth", columns=("freq_hz", "re_z_ohm", "im_z_ohm"),
                  rows=rows, default_format="csv", seed_used=args.seed)

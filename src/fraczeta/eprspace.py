@@ -74,11 +74,13 @@ class PrimeVector:
 
     def __post_init__(self):
         checked = {}
+        if any(isinstance(p, bool) or not isinstance(p, int) for p in self.coords):
+            raise ValueError(f"keys must be integers, got {list(self.coords)}")
         for p in sorted(self.coords):
             r = self.coords[p]
             if not is_prime(p):
                 raise ValueError(f"key {p} is not prime")
-            if not (isinstance(r, int) and r >= 1):
+            if isinstance(r, bool) or not (isinstance(r, int) and r >= 1):
                 raise ValueError(f"exponent of {p} must be a positive integer, got {r}")
             checked[p] = r
         object.__setattr__(self, "coords", checked)

@@ -55,36 +55,43 @@ class FitResult:
             raise ValueError(f"loss must be nonnegative, got {self.loss}")
 
 
-def load_spectrum(path, fmt: str = "csv") -> Spectrum:
-    """Read a spectrum file; malformed rows are reported by line number."""
-    if fmt != "csv":
-        raise ValueError(f"unsupported format {fmt!r}")
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0].strip() != _HEADER:
-        raise ValueError(f"{path}: first line must be the header {_HEADER!r}")
+def read_table(path, header: str) -> np.ndarray:
+    """Numeric CSV file whose first line is `header`, as an array of shape
+    (rows, columns).  Blank lines are skipped; a malformed row is reported
+    by its line number in the file."""
+    n_cols = len(header.split(","))
     rows = []
-    for i, ln in enumerate(lines[1:], start=2):
-        if not ln.strip():
-            continue
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"{path}: line {i}: expected 3 comma-separated "
-                             f"values, got {len(parts)}")
-        try:
-            f, re_z, im_z = (float(p) for p in parts)
-        except ValueError:
-            raise ValueError(f"{path}: line {i}: non-numeric value in "
-                             f"{ln!r}") from None
+    with open(path, encoding="utf-8") as fh:
+        if fh.readline().strip() != header:
+            raise ValueError(f"{path}: first line must be the header {header!r}")
+        for i, ln in enumerate(fh, start=2):
+            if not ln.strip():
+                continue
+            parts = ln.split(",")
+            if len(parts) != n_cols:
+                raise ValueError(f"{path}: line {i}: expected {n_cols} "
+                                 f"comma-separated values, got {len(parts)}")
+            try:
+                rows.append([float(p) for p in parts])
+            except ValueError:
+                raise ValueError(f"{path}: line {i}: non-numeric value in "
+                                 f"{ln.rstrip()!r}") from None
+    return np.array(rows, dtype=float).reshape(-1, n_cols)
+
+
+def load_spectrum(path) -> Spectrum:
+    """Read a spectrum file; malformed rows are reported by line number."""
+    rows = read_table(path, _HEADER).tolist()
+    for f, _, _ in rows:
         if not (f > 0.0 and math.isfinite(f)):
-            raise ValueError(f"{path}: line {i}: frequency must be positive "
-                             f"and finite, got {f}")
-        rows.append((f, complex(re_z, im_z)))
+            raise ValueError(f"{path}: frequency must be positive and "
+                             f"finite, got {f}")
     rows.sort(key=lambda r: r[0])
-    for (f1, _), (f2, _) in zip(rows, rows[1:]):
+    for (f1, _, _), (f2, _, _) in zip(rows, rows[1:]):
         if f1 == f2:
             raise ValueError(f"{path}: duplicate frequency {f1}")
-    pts = tuple((2.0 * math.pi * f, z) for f, z in rows)
+    pts = tuple((2.0 * math.pi * f, complex(re_z, im_z))
+                for f, re_z, im_z in rows)
     return Spectrum(points=pts, label=str(path))
 
 
@@ -133,8 +140,7 @@ def _heuristic_init(w: np.ndarray, z: np.ndarray) -> np.ndarray:
     apex = int(np.argmax(-z.imag))
     tau0 = 1.0 / w[apex] if -z.imag[apex] > 0.0 else 1.0
     try:
-        psi = arc_fit(z).depression_angle
-        alpha0 = min(max(1.0 - 2.0 * psi / math.pi, 0.3), 0.99)
+        alpha0 = min(max(arc_fit(z).alpha_implied, 0.3), 0.99)
     except (ValueError, np.linalg.LinAlgError):
         alpha0 = 0.9
     logit0 = math.log(alpha0 / (1.0 - alpha0))

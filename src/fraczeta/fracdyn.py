@@ -84,6 +84,11 @@ class ArcFit:
     depression_angle: float
     rms_residual: float
 
+    @property
+    def alpha_implied(self) -> float:
+        """Cole-Cole exponent of a depression angle psi, 1 - 2 psi/pi."""
+        return 1.0 - 2.0 * self.depression_angle / math.pi
+
 
 @dataclass(frozen=True)
 class TwistedShift:
@@ -194,14 +199,16 @@ def _ml_series(alpha: float, z: complex, k_max: int = 8000):
             break
         k += 1
     est = _EPS * peak / max(abs(total), 1e-300)
+    if z.imag == 0.0:  # E_a is real on the real axis
+        total = complex(total.real, 0.0)
     return total, est
 
 
-def _ml_asymptotic_neg(alpha: float, x: float, k_max: int = 400):
+def _ml_asymptotic_neg(alpha: float, z: complex, k_max: int = 400):
     # E_a(z) ~ -sum_{k>=1} z^{-k} / Gamma(1 - a k) for real z < 0;
     # divergent tail, truncated at the smallest term (first omitted term
     # taken as the error).  rgamma is zero at the Gamma poles.
-    inv = 1.0 / x  # negative
+    inv = 1.0 / z.real  # negative
     u = 1.0
     total = 0.0
     prev = math.inf
@@ -229,9 +236,9 @@ def _ml_asymptotic_neg(alpha: float, x: float, k_max: int = 400):
 def mittag_leffler(alpha: float, z) -> complex:
     """E_alpha(z), relative accuracy target 1e-8.
 
-    Branch is chosen by predicted error; a run whose a-posteriori
-    estimate exceeds 1e-6 raises MittagLefflerError rather than
-    returning a silently wrong value.
+    The routes are tried in order of predicted error and the first whose
+    a-posteriori estimate is within 1e-6 is returned; when none is,
+    MittagLefflerError is raised rather than a silently wrong value.
     """
     if not (0.0 < alpha <= 2.0):
         raise ValueError(f"alpha must be in (0, 2], got {alpha}")
@@ -244,28 +251,16 @@ def mittag_leffler(alpha: float, z) -> complex:
         return cmath.cosh(cmath.sqrt(z))
     if z == 0:
         return 1.0 + 0.0j
-    x = abs(z) ** (1.0 / alpha)
-    real_neg = z.imag == 0.0 and z.real < 0.0
-    flag_at = 1e-6
-
-    candidates = []
-    if real_neg and x >= 18.0:
-        val, est = _ml_asymptotic_neg(alpha, z.real)
-        if est <= flag_at:
+    routes = [_ml_series]
+    if z.imag == 0.0 and z.real < 0.0:
+        past_crossover = abs(z) ** (1.0 / alpha) >= 18.0
+        routes.insert(0 if past_crossover else 1, _ml_asymptotic_neg)
+    best_est = math.inf
+    for route in routes:
+        val, est = route(alpha, z)
+        if est <= 1e-6:
             return val
-        candidates.append((est, val))
-    val, est = _ml_series(alpha, z)
-    if z.imag == 0.0:
-        val = complex(val.real, 0.0)
-    if est <= flag_at:
-        return val
-    candidates.append((est, val))
-    if real_neg and x < 18.0:
-        val, est = _ml_asymptotic_neg(alpha, z.real)
-        if est <= flag_at:
-            return val
-        candidates.append((est, val))
-    best_est, _ = min(candidates, key=lambda c: c[0])
+        best_est = min(best_est, est)
     raise MittagLefflerError(
         f"no regime reaches 1e-6 for alpha={alpha}, z={z} "
         f"(best estimate {best_est:.2e})")

@@ -5,13 +5,19 @@ installed script uses, so exit codes, stdout bytes, and file outputs
 are exercised exactly as a shell user would see them.
 """
 
+import contextlib
+import csv
+import hashlib
+import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fraczeta.cli import dispatch
+from fraczeta.fitkit import load_spectrum, save_spectrum, synth_spectrum
 from fraczeta.fracdyn import (ColeColeModel, TwistedShift,
                               cole_cole_impedance, gl_fracderiv,
                               twisted_compose)
@@ -224,6 +230,18 @@ def test_fracderiv_rejects_single_point_grid(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: need >= 2 grid points")
 
 
+def test_fracderiv_reports_real_line_number(tmp_path, capsys):
+    # a blank line still counts: the bad row is line 4 of the file, and
+    # the spectrum reader numbers the same layout the same way
+    path = tmp_path / "f.csv"
+    path.write_text("t,f\n\n0.0,0.0\n0.1,x\n")
+    assert dispatch(["fracderiv", "--input", str(path)]) == 1
+    assert "line 4:" in capsys.readouterr().err
+    path.write_text("freq_hz,re_z_ohm,im_z_ohm\n\n1.0,0.0,0.0\n2.0,x,0.0\n")
+    with pytest.raises(ValueError, match="line 4:"):
+        load_spectrum(path)
+
+
 def test_twist_matches_library(capsys):
     _, out = run(capsys, "twist", "3", "-1", "0.125", "2", "5", "0.375",
                  "--delta", "0.25", "--no-timestamp")
@@ -350,6 +368,20 @@ def test_epr_fiber_sheets(capsys):
     assert rec["sheets"] == [[0.6, 0.9, 0.0, 4.0], [0.6, 0.9, 9.0, 13.0]]
 
 
+@pytest.mark.parametrize("argv, key, value", [
+    (("epr", "factor", "360"), "factors", {"2": 3, "3": 2, "5": 1}),
+    (("epr", "fiber", "--copies", "2"), "sheets",
+     [[0.5, 1.0, 0.0, 5.0], [0.5, 1.0, 7.0, 12.0]]),
+], ids=("factor", "fiber"))
+def test_csv_cells_with_commas_are_quoted(capsys, argv, key, value):
+    _, out = run(capsys, *argv, "--format", "csv", "--no-timestamp")
+    rows = list(csv.reader(ln for ln in out.splitlines()
+                           if not ln.startswith("#")))
+    assert rows[0] == ["key", "value"]
+    assert all(len(row) == 2 for row in rows)
+    assert json.loads(dict(rows)[key]) == value
+
+
 # --- loop-gas commands ---------------------------------------------------------
 
 
@@ -466,6 +498,19 @@ def test_synth_writes_pure_schema_file(tmp_path, capsys):
     assert not any(ln.startswith("#") for ln in lines)
 
 
+def test_synth_out_record_follows_format(tmp_path, capsys):
+    target = tmp_path / "spec.csv"
+    code, out = run(capsys, "synth", "--points", "10", "--seed", "4",
+                    "--out", str(target), "--format", "csv",
+                    "--no-timestamp")
+    assert code == 0
+    assert out.splitlines()[:2] == ["# command: fraczeta synth", "# seed: 4"]
+    header, body = rows_of(out)
+    assert header == ["key", "value"]
+    assert dict(body) == {"written": str(target), "n_points": "10"}
+    assert target.read_text().startswith("freq_hz,re_z_ohm,im_z_ohm\n")
+
+
 def test_synth_then_fit_recovers_model(tmp_path, capsys):
     target = tmp_path / "clean.csv"
     assert dispatch(["synth", "--alpha", "0.8", "--tau", "1e-3", "--rct",
@@ -505,3 +550,151 @@ def test_fit_accepts_explicit_init(tmp_path, capsys):
                     "--init-rs", "2", "--no-timestamp")
     assert code == 0
     assert json.loads(out)["alpha"] == pytest.approx(0.85, abs=1e-3)
+
+
+# --- pinned output bytes --------------------------------------------------------
+#
+# Every subcommand, in CSV and in JSON, with --no-timestamp: the sha256 of
+# stdout, followed by the --out file when there is one.  A changed digest
+# is a change in what a user of the command sees.
+
+
+def _write_pinned_inputs(workdir):
+    model = ColeColeModel(alpha=0.7, tau=1e-3, r_ct=50.0, r_s=5.0)
+    w = 2.0 * math.pi * np.logspace(0.0, 5.0, 40)
+    save_spectrum(synth_spectrum(model, w, 0.01, seed=3), workdir / "spec.csv")
+    (workdir / "f.csv").write_text("t,f\n0.0,0.0\n0.1,0.5\n0.2,0.75\n0.3,0.5\n")
+
+
+def _pinned_digest(argv) -> str:
+    """Digest of one invocation, run in the current directory."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert dispatch([*argv.split(), "--no-timestamp"]) == 0
+    digest = hashlib.sha256(buf.getvalue().encode())
+    if "--out" in argv.split():
+        digest.update(Path("out").read_bytes())
+    return digest.hexdigest()
+
+
+_LAT = " ".join(LAT)
+# invocation: (CSV digest, JSON digest)
+PINNED = {
+    "impedance --points 5": (
+        "6514dacc7e14ff9919518e3614bcd9c0a39466a0fab07589a4b140628dbb62d1",
+        "28430a59d5b87e7458b0d13cb24b2990879831c2ee6495f245cd246baac36916"),
+    "arc --input spec.csv": (
+        "b85c7bb0617b173ac540e01512e6c75a8cc073254b45405fd696ed4206b10e1d",
+        "78345a41f4eac0de49fc4a4fe8333d595b8f7e0e2abc4f2b5787b35885ae3490"),
+    "ml -3.5 --alpha 0.6": (
+        "59b523c87103f00a8d927425e8e3dfbb534f3add8988a6faef7f8303c6b03272",
+        "a4422874357ac9ca4510ac48da0c5e015c731d3b50399b2b3d3444de76b638a6"),
+    "ml 25 --alpha 0.5": (
+        "058432f8e1ffe7fd3f834d263c02e7cc2da3673e81feb72411795115b3c8a1bd",
+        "48ccf0b2f183dd80816388926af5b40e53adb8531de4ed53b452724c230332f6"),
+    "fracderiv --n 8": (
+        "cd8b9c2c11dfcb3239794dda758b95e746cf48361cde55914fc8e8536ecd149d",
+        "2f77d2e1a842a22dde3b876cb24bc70a9171904c4802ba922efa85987d0e66b6"),
+    "fracderiv --input f.csv --alpha 0.3": (
+        "7716a9553136b6a9f41ce8b169545244f7889305905ca1fc78ee7aa1b824ec3b",
+        "675764b55a071a0d95b8cc1ed31271c0148b9636d72650132027f9f46d346710"),
+    "phase --alpha 0.7": (
+        "e9d0e2e547423e54225221929e7a4e4f4e18f32c6fb66feb129222b064327b17",
+        "ca4009a16f96c99963625d0e34d3adcd56bc2f6966d6f77ca77445183f3777ac"),
+    "twist 3 -1 0.125 2 5 0.375 --delta 0.25": (
+        "af15aeafdad778d1e979e87aed830cf69c08b66b4a1c741924f8204b516d413d",
+        "8f22339568c0dad23f8735bf9dd9d40e2bca1ae39b570fdff0c0c8ec30695f68"),
+    "zeta eval --re 0.5 --im 25": (
+        "f7b85127fdb5adaec1f222dd304fe0aef2af71434ca3c74d1026843a93a08615",
+        "d2b007dcd5531a0d4c6c25739dd87b992e28208efc89786e6c4c64325c6cfbc4"),
+    "zeta zeros --tmax 40": (
+        "753666724510cdad208e37e63d9dbd3ade6abf7a2576d6bb26cc69d492c11bf5",
+        "d9c91f4edafd5f02872c633af90649fe4b28fcbc41f963d935f69018da502bea"),
+    "zeta paircorr --tmax 260 --bins 10": (
+        "6dda376f8340839fe221ab2a9201c1e696b50efcefb46a05e5bb57c56c73707c",
+        "c3f6186fd987e6f01e94f1cd7873986f63c57af243986b2b0c313fd94bec89c3"),
+    "zeta paircorr --source gue --dim 40 --trials 5 --seed 7 --bins 10": (
+        "e91c5b2d719b798709428d607e379d9eb8b7fe0fd8d458e074cb5fec05d305f4",
+        "16d835410f7c420042f2d8712a936c1ccb972f0c58caf8c1bd4bdc621d7a611b"),
+    "zeta gue --dim 20 --trials 2 --seed 2": (
+        "8111a1e3193434f2c89119d89a86fb22b2c290f8bc1cabe4f0081dbbed8dd721",
+        "8b3b73d6b55dfbd2e311570d9c9e89c014d9061523f8f53ec67f5bb7f6d2570e"),
+    "zeta universality --tmax 5 --tstep 0.5": (
+        "9e0f4cd6290f1d463608fce5bb43dd0b01106234fa17d00762bde0dbcd6658c0",
+        "1a17816baf1eee80ab851e2b76e7e1de1de26b3f70e6ae2f3657dac359abdcbb"),
+    "zeta xi --re 0.3 --im 4": (
+        "2fd67c6964a84107366ec928a88dbee24bd3cb61b78adc437df2dde1ce42dddf",
+        "0b37820de3efc9f1d80482620286e2a663d2147078aded2e6d85fb25d8759c9b"),
+    "zeta spectral --eigenvalues 1 2 3 --s-re 1.5": (
+        "726c56b28b8ba299cf06319cc40dc068b36d9f01cbe0fb8629eeff7de945f04e",
+        "e28eb51424a7d8c78b5d750d670c65567cf1f9dafb6b3bd04322905053496f90"),
+    "zeta spectral --eigenvalues 1 2 3 --s-re 1.5 --mellin": (
+        "f0dcd6876b9d3984a972268d0fdb7c1a207364ab4eaad00673d888269ff9647d",
+        "b50f93a6d51f6ae5eb0c83539b9f3f8772ff21db898c4d45563594645001239e"),
+    # CSV quotes the factors cell, which holds commas (RFC 4180)
+    "epr factor 360": (
+        "f08570f5281d9b0ebb5835e0df68a5cfacb4170564ec5bb5f69fb2237cb3a131",
+        "0f8d992bed3b37af2680318a64816f5366b129481ac372d1ef377785d59ea526"),
+    "epr lattice 12 18": (
+        "1ab9e16298ae9e9808133724ff2245db75bc93d4713167e9f9a85ceee6257b9d",
+        "9a863dbedf1b40167cd8578e25819867d7b15fd85a1fc9b0431c6eb1229726ea"),
+    "epr trace --nmax 200": (
+        "679f7c9c54e1b95e6ccd2402fed59554801bafdb485a4e4c7defbb3799bdeb89",
+        "92dd4ce7ac4f63f6687618bb4ca00506e7485d8b77e7ae742079a03101a46349"),
+    "epr pair 7 11": (
+        "98bea1b9fafc427d9e5aee32b3a8f8fe34855df0532f916e09b2b47549f4c43a",
+        "dcd4c0a51ed32af121b820c57d55583e81394c3292c652416b514346870fb522"),
+    "epr pair --invert 200": (
+        "0f0781cc5252b22a8475ba0ebe2a4df79dbcdcc0e7471b57a8cc62134f125eb4",
+        "5b2ddac457e31778b66115ee095f384b4d7c3cebacdfa96c3fbfb5c1dd4eb558"),
+    # CSV quotes the sheets cell, which holds commas
+    "epr fiber --copies 2": (
+        "55709000ab86fcff84ebc4d8ea5a9968fd06afa58b4889ce934f814caa60fc6d",
+        "768d089eafc61ebeac5ff3b9a9f8ad3a12f0e16d5e8eba4c92742ce9b81bb1f0"),
+    f"loops kernel {_LAT}": (
+        "45d962ef83a3047f393577055439aa8e61432b9b453090b77c4d298d4d2b0a9c",
+        "e1789b0144ba98749818783dfd283f6801676d15693674650737bbacbb9c7808"),
+    f"loops propagator {_LAT} --steps 5": (
+        "a2359b8942d30f08677a7764c901959e121d8df96b17fc103ee24c6c3809900a",
+        "0108fbe4c394c53f7459e8ce8ed3ac476f264b94160fe8e41eb2e2fe45fb251a"),
+    f"loops propagator {_LAT} --steps 3 --all-steps": (
+        "dc951d583f6c1e68367be058d191f2d5f1ffd45970ae5d1988d1e4b27426e0d7",
+        "4f55bcd6b0a01717b9c65acd3098d8a027548999479a40d3f45cf3bc434ba1c2"),
+    f"loops sample {_LAT} --paths 200 --steps 10 --seed 3": (
+        "d54985a001fa87db172a5b412fbd1308ef248eae68afda2d59aee0ce8b97f2b5",
+        "9a799556d39b226f07adb3d2134623ae894927da43894bacb40b6a499232bc60"),
+    f"loops sample {_LAT} --mode open --paths 200 --steps 10 --seed 3": (
+        "e0d70046db3b7e1052c52e0abd965bb5e82c3b5ebb4400c13d8c907d6d510149",
+        "af7e1b31a1ff63043d49626ac7fe3e963584b73e6f66df0ac0aeabcbfe4c5045"),
+    f"loops entropy {_LAT} --steps 5": (
+        "d6fda52237c6892b700d47af281d7a498f8cbd4556ec3af97738e647d80b1c6d",
+        "4973432ac78edb67e52f5e0301d426b269d209632641d750402b0fd890fb7c61"),
+    "loops fluct --beta 4": (
+        "6d8e23873b05de149d266168a46bb0466ade20c32f004bcda4f6e6d9726091bb",
+        "a1f79f067dad6e92551d5d441559c184246f620657fa8c5305fe1189dad9adf5"),
+    f"loops forwardbackward {_LAT} --steps 4": (
+        "5ed3bbaf4bfdb79a5e4e633abc7b00d52aa7e29925333acaff41d64032d75b8d",
+        "6cf6960c905162f48d9dd2b8a372ca02a5175d05762940446bb53e9c624ba947"),
+    "fit --input spec.csv": (
+        "f07fbe051035e180309f6e5ba3613b96555e0a018632b591fbff43986da30c05",
+        "6dfac4d47009397f97fe00a3d6049f8eaa82f19ee434fe91e915c7ac84254e16"),
+    "synth --points 6": (
+        "5f81e6756f25d03e8260ca204ce28459b90317232a2f26252b530ce236df6991",
+        "e05de5c91d6e2f1fca86261b8eeb033eba0f9b4c84f9ddffb546c81faf37c8a6"),
+    # the record printed beside the --out spectrum follows --format
+    "synth --points 6 --noise 0.01 --seed 4 --out out": (
+        "281a1a8082c7b1daff3652f99df7417b100831efca274dde40c34de1848da53a",
+        "8b97cb90857f56b481963a213aef0d50731ad586e99769d896d06ab8dd3f126b"),
+    "zeta zeros --tmax 30 --out out": (
+        "3e574b1b181b3ef2c30415dca3a73dbbf95e39fcdb6cac807f58c8e22a0ebe85",
+        "87c72402a67586126888e46e1f0e4a58b25ee62ca31431a86789fcbab5c3e378"),
+}
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+@pytest.mark.parametrize("argv", list(PINNED))
+def test_pinned_output_bytes(argv, fmt, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_pinned_inputs(tmp_path)
+    digest = PINNED[argv][fmt == "json"]
+    assert _pinned_digest(f"{argv} --format {fmt}") == digest

@@ -137,6 +137,12 @@ def test_prime_vector_validation():
         PrimeVector({2: 0})
     with pytest.raises(ValueError):
         PrimeVector({2: -1})
+    with pytest.raises(ValueError, match="exponent of 2"):
+        PrimeVector({2: True})
+    # 2.0 == 2 would pass the primality check and make to_int a float
+    for coords in ({2.0: 1, 3: 2}, {True: 1}, {np.int64(3): 1}):
+        with pytest.raises(ValueError, match="keys must be integers"):
+            PrimeVector(coords)
 
 
 # --- lattice ------------------------------------------------------------------

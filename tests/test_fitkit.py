@@ -70,8 +70,6 @@ def test_load_spectrum_header_and_duplicates(tmp_path):
     p.write_text("freq_hz,re_z_ohm,im_z_ohm\n1.0,2.0,3.0\n1.0,2.5,3.5\n")
     with pytest.raises(ValueError, match="duplicate"):
         load_spectrum(p)
-    with pytest.raises(ValueError):
-        load_spectrum(p, fmt="tsv")
 
 
 def test_synth_save_load_round_trip(tmp_path):
