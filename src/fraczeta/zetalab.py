@@ -42,7 +42,8 @@ _M_CAP = 60
 _ZERO_TOL = 1e-9      # bracket width find_zeros bisects to and reports
 _GRID_ROWS = 512      # shifts per grid chunk; a chunk shares one cutoff N
 _GRID_CELLS = 2 ** 21  # complex entries of the grid factor, 32 MB
-_BISECT_CHUNK = 128   # midpoints per _z_block call; each chunk gets its own N
+_BISECT_CHUNK = 128   # midpoints per _z_fast call; each chunk gets its own N
+_Z_TOL = 1e-12        # Bernoulli-tail tolerance of every Z evaluation
 
 # B_{2k}/(2k)! for k = 0..cap, the only Bernoulli data the tail needs
 _B2F = bernoulli(2 * _M_CAP + 2)[0::2] / np.array(
@@ -77,13 +78,15 @@ class ZeroList:
     """Ordinates t with zeta(1/2+it) = 0, localized to bracket width tol.
 
     min_sign_margin is the smallest |Z|/bound over the sign decisions that
-    placed the zeros; below 1, a decision was not certified by the bound.
+    placed the zeros: |Z_fast|/gate or |Z_ref|/B_ref at _bisect's midpoints
+    (reference_decisions counts the latter); below 1, one was not certified.
     """
 
     ordinates: tuple
     tol: float
     t_max: float
     min_sign_margin: float = math.inf
+    reference_decisions: int = 0
 
     def __post_init__(self):
         ts = self.ordinates
@@ -142,11 +145,11 @@ def _cutoff(base: np.ndarray, shifts: np.ndarray) -> int:
 
 
 def _em_block(base: np.ndarray, shifts: np.ndarray, tol: float,
-              phases: np.ndarray | None = None):
+              phases: np.ndarray | None = None, cutoff: int | None = None):
     """zeta(b_j + i t_k) for base points b_j and ordinate shifts t_k.
 
     Returns (values, err), both shaped (shifts, base).  The whole block
-    shares one cutoff N = _cutoff(base, shifts); the main sum is factored
+    shares one cutoff N (default _cutoff(base, shifts)); the main sum is factored
     as exp(-i t_k log n) @ n^{-b_j}, with n^{-b_j} kept real when the base
     is real.  For shifts t_k = t_0 + k*step on a grid, phases may hold
     the grid factor exp(-i k step log n) for k < rows (see _grid_chunks);
@@ -156,7 +159,7 @@ def _em_block(base: np.ndarray, shifts: np.ndarray, tol: float,
     stop shrinking; err is that bound plus twice the float-noise floor.
     """
     s = base[None, :] + 1j * shifts[:, None]
-    n_used = _cutoff(base, shifts)
+    n_used = _cutoff(base, shifts) if cutoff is None else cutoff
     n = np.arange(1, n_used, dtype=float)
     log_n = np.log(n)
     if np.iscomplexobj(base):
@@ -292,11 +295,29 @@ def _rs_theta(t):
     return out
 
 
-def _z_block(t_block: np.ndarray, phases: np.ndarray | None = None):
+def _z_block(t_block: np.ndarray, phases: np.ndarray | None = None,
+             cutoff: int | None = None):
     """Z(t) and its error bound on an ascending array of positive
-    ordinates, one shared N; phases as in _em_block."""
-    vals, err = _em_block(np.array([0.5]), t_block, 1e-12, phases)
+    ordinates, one shared N; phases and cutoff as in _em_block."""
+    vals, err = _em_block(np.array([0.5]), t_block, _Z_TOL, phases, cutoff)
     return (np.exp(1j * _rs_theta(t_block)) * vals[:, 0]).real, err[:, 0]
+
+
+def _z_fast(t_block: np.ndarray):
+    """_z_block at N = max(20, ceil(max t / pi)), a third of the default;
+    |s|/(2 pi N) <= 1/2 still takes the tail to _Z_TOL in few terms."""
+    return _z_block(t_block, cutoff=max(20, math.ceil(t_block.max() / math.pi)))
+
+
+def _z_scalar_bound_cap(t: np.ndarray) -> np.ndarray:
+    """A majorant of the bound _z_block(np.array([t_i])) reports at each t_i:
+    _Z_TOL plus twice the noise floor over n < N = max(20, ceil t_i), with
+    1 standing in for |corr| (below 1/2 on the critical line for t >= 14)."""
+    n_t = np.maximum(20, np.ceil(t)).astype(int)
+    n = np.arange(1, n_t.max(), dtype=float)
+    w = n ** -0.5
+    s0, s1 = np.cumsum(w)[n_t - 2], np.cumsum(w * np.log(n))[n_t - 2]
+    return _Z_TOL + 2.0 * _EPS * (s0 + t * s1 + 1.0)
 
 
 def riemann_siegel_Z(t: float) -> float:
@@ -336,22 +357,30 @@ def _z_scan(t_max: float, grid: float):
 def _bisect(a: np.ndarray, b: np.ndarray, za: np.ndarray):
     """Halve every bracket [a_i, b_i], Z(a_i) = za_i, until b - a <= _ZERO_TOL.
 
-    Each sweep evaluates the midpoints of all live brackets, in ascending
-    chunks of _BISECT_CHUNK; an exact zero at a midpoint closes its
-    bracket there.  Returns the bracket centres and the smallest |Z|/bound
-    at a midpoint.
+    Each sweep evaluates the midpoints of all live brackets by _z_fast, in
+    ascending chunks of _BISECT_CHUNK.  A fast sign stands when |Z| > gate
+    = its bound + _z_scalar_bound_cap(t); as both routes rotate by the same
+    theta, it then agrees with riemann_siegel_Z's scalar route, which
+    decides every other midpoint, one at a time.  An exact zero closes its
+    bracket.  Returns the centres, the smallest margin (|Z_fast|/gate or
+    |Z_ref|/B_ref) and the number of scalar decisions.
     """
     a, b, za = a.copy(), b.copy(), za.copy()
-    margin = math.inf
+    margin, n_ref = math.inf, 0
     live = np.nonzero(b - a > _ZERO_TOL)[0]
     while live.size:
         m = 0.5 * (a[live] + b[live])
         zm = np.empty_like(m)
-        bound = np.empty_like(m)
+        gate = np.empty_like(m)
         for lo in range(0, m.size, _BISECT_CHUNK):
             sl = slice(lo, lo + _BISECT_CHUNK)
-            zm[sl], bound[sl] = _z_block(m[sl])
-        margin = min(margin, float(np.min(np.abs(zm) / bound)))
+            zm[sl], gate[sl] = _z_fast(m[sl])
+        gate += _z_scalar_bound_cap(m)
+        ref = np.nonzero(~(np.abs(zm) > gate))[0]
+        for i in ref:
+            zm[i:i + 1], gate[i:i + 1] = _z_block(m[i:i + 1])
+        n_ref += ref.size
+        margin = min(margin, float(np.min(np.abs(zm) / gate)))
         hit = zm == 0.0
         left = ~hit & ((za[live] < 0.0) == (zm < 0.0))
         right = ~hit & ~left
@@ -359,7 +388,7 @@ def _bisect(a: np.ndarray, b: np.ndarray, za: np.ndarray):
         b[live[right]] = m[right]
         a[live[hit]] = b[live[hit]] = m[hit]
         live = live[b[live] - a[live] > _ZERO_TOL]
-    return 0.5 * (a + b), margin
+    return 0.5 * (a + b), margin, n_ref
 
 
 def find_zeros(t_max: float, grid: float = 0.05) -> ZeroList:
@@ -369,9 +398,9 @@ def find_zeros(t_max: float, grid: float = 0.05) -> ZeroList:
     The scan evaluates the evenly spaced grid through one factored grid
     sum (_grid_chunks); the bisection halves all brackets together.
     ZeroList.min_sign_margin is the smallest |Z|/bound over the scan
-    values at each sign change and over every bisection midpoint.  It is
-    reported, never raised on: a margin below 1 means the last halvings
-    went past what the Euler-Maclaurin bound certifies.
+    values at each sign change and over every bisection midpoint (see
+    _bisect).  It is reported, never raised on: a margin below 1 means
+    the last halvings went past what the Euler-Maclaurin bound certifies.
 
     The count is checked against the smooth estimate; a mismatch beyond
     +-2 raises MissedZerosError (rerun with a finer grid).
@@ -383,7 +412,7 @@ def find_zeros(t_max: float, grid: float = 0.05) -> ZeroList:
     ts, z, bound = _z_scan(t_max, grid)
     flips = np.nonzero(np.sign(z[:-1]) * np.sign(z[1:]) < 0)[0]
     exact_hits = np.nonzero(z == 0.0)[0]
-    centres, margin = _bisect(ts[flips], ts[flips + 1], z[flips])
+    centres, margin, n_ref = _bisect(ts[flips], ts[flips + 1], z[flips])
     decided = np.concatenate([flips, flips + 1, exact_hits])
     if decided.size:
         margin = min(margin, float(np.min(np.abs(z[decided]) / bound[decided])))
@@ -394,7 +423,8 @@ def find_zeros(t_max: float, grid: float = 0.05) -> ZeroList:
             f"found {len(ordinates)} zeros to t={t_max} but the smooth count "
             f"gives {expected:.2f}; rerun with a finer grid than {grid}")
     return ZeroList(ordinates=tuple(ordinates), tol=_ZERO_TOL,
-                    t_max=float(t_max), min_sign_margin=margin)
+                    t_max=float(t_max), min_sign_margin=margin,
+                    reference_decisions=n_ref)
 
 
 def unfold(zeros: ZeroList) -> np.ndarray:

@@ -33,9 +33,12 @@ from fraczeta.zetalab import (
     unfold,
     universality_scan,
     zeta,
+    _BISECT_CHUNK,
     _em_block,
     _grid_chunks,
     _z_block,
+    _z_fast,
+    _z_scalar_bound_cap,
     _z_scan,
 )
 
@@ -255,6 +258,86 @@ def test_min_sign_margin_reported(zeros_1000):
     margin = zeros_1000.min_sign_margin
     assert math.isfinite(margin) and margin > 0.0
     assert find_zeros(5.0).min_sign_margin == math.inf
+
+
+@pytest.fixture(scope="module")
+def fast_and_scalar():
+    """400 seeded ordinates in [14, 1e4], through _z_fast in ascending
+    chunks of _BISECT_CHUNK as _bisect takes them, and through the scalar
+    route one at a time."""
+    ts = np.sort(np.random.default_rng(1009).uniform(14.0, 1.0e4, 400))
+    z_fast, b_fast, cap = (np.empty_like(ts) for _ in range(3))
+    for lo in range(0, ts.size, _BISECT_CHUNK):
+        sl = slice(lo, lo + _BISECT_CHUNK)
+        z_fast[sl], b_fast[sl] = _z_fast(ts[sl])
+        cap[sl] = _z_scalar_bound_cap(ts[sl])
+    scalar = np.array([_z_block(ts[i:i + 1]) for i in range(ts.size)])[:, :, 0]
+    return ts, z_fast, b_fast, cap, scalar[:, 0], scalar[:, 1]
+
+
+def test_fast_sign_gate_is_sound(fast_and_scalar):
+    _, z_fast, b_fast, cap, z_ref, b_ref = fast_and_scalar
+    assert np.all(np.abs(z_fast - z_ref) <= b_fast + b_ref)
+    assert np.all(b_ref <= cap)
+
+
+def test_fast_route_matches_mpmath(fast_and_scalar):
+    mpmath = pytest.importorskip("mpmath")
+    ts, z_fast, b_fast = fast_and_scalar[:3]
+    # every 20th ordinate, plus each chunk's largest, where |s|/(2 pi N)
+    # is closest to 1/2
+    ends = np.minimum(np.arange(_BISECT_CHUNK, ts.size + _BISECT_CHUNK,
+                                _BISECT_CHUNK), ts.size) - 1
+    with mpmath.workdps(20):
+        for i in np.union1d(np.arange(0, ts.size, 20), ends):
+            ref = float(mpmath.siegelz(mpmath.mpf(float(ts[i]))))
+            assert abs(z_fast[i] - ref) <= b_fast[i]
+
+
+def test_reference_decisions_counted(zeros_1000):
+    # the scalar route decides at most 2 % of the 26,000 midpoints
+    assert 0 < zeros_1000.reference_decisions <= 520
+    assert find_zeros(5.0).reference_decisions == 0
+
+
+def _blind_fast(t_block):
+    z, bound = _z_block(t_block)
+    return z, np.full_like(bound, np.inf)
+
+
+def _lying_fast(t_block):
+    # the scalar value's opposite sign, with the smallest bound that still
+    # covers it (|z' - z| <= bound' + bound); a gate on bound' alone would
+    # take the wrong sign wherever |z| < bound, as at t = 176.4
+    z, bound = np.array([_z_block(t_block[i:i + 1])
+                         for i in range(t_block.size)])[:, :, 0].T
+    return -z, np.maximum(0.0, 2.0 * np.abs(z) - bound)
+
+
+@pytest.fixture(scope="module")
+def zeros_200_reference():
+    return bisect_reference.find_zeros(200.0)
+
+
+@pytest.mark.parametrize("fake_fast", [_blind_fast, _lying_fast])
+def test_reference_route_alone_matches_scalar_bisection(
+        monkeypatch, zeros_200_reference, fake_fast):
+    direct_calls = []
+
+    def spy(t_block, phases=None, cutoff=None):
+        if phases is None:                  # not the factored scan
+            direct_calls.append((t_block.size, cutoff))
+        return _z_block(t_block, phases, cutoff)
+
+    monkeypatch.setattr("fraczeta.zetalab._z_fast", fake_fast)
+    monkeypatch.setattr("fraczeta.zetalab._z_block", spy)
+    zl = find_zeros(200.0)
+    assert np.array_equal(zl.ordinates, zeros_200_reference)
+    # every 0.05 bracket takes 26 halvings to reach 1e-9, each decided
+    # by the scalar route at its default cutoff
+    assert zl.reference_decisions == 26 * len(zl.ordinates)
+    assert direct_calls == [(1, None)] * zl.reference_decisions
+    assert math.isfinite(zl.min_sign_margin)
 
 
 def _assert_each_within_the_others_err(a, err_a, b, err_b):
