@@ -59,19 +59,20 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _emit(args, command, *, record=None, columns=None, rows=None,
-          default_format="json", seed_used=None) -> int:
+def _emit(args, *, record=None, columns=None, rows=None,
+          seed_used=None) -> int:
     """Write one record (a dict) or one table (columns and rows) as CSV,
-    RFC 4180 quoted under '#' metadata lines, or as one JSON object; a
-    record in CSV is the two-column table key,value."""
+    RFC 4180 quoted under '#' metadata lines, or as one JSON object.
+    Without --format a table is CSV and a record JSON; a record in CSV is
+    the two-column table key,value."""
     meta = {} if seed_used is None else {"seed": int(seed_used)}
     if not args.no_timestamp:
         meta["timestamp"] = datetime.now(timezone.utc).isoformat()
-    if (args.format or default_format) == "csv":
+    if (args.format or ("json" if record is not None else "csv")) == "csv":
         if record is not None:
             columns, rows = ("key", "value"), record.items()
         buf = io.StringIO()
-        buf.write(f"# command: fraczeta {command}\n")
+        buf.write(f"# command: {args.leaf.prog}\n")
         buf.writelines(f"# {k}: {v}\n" for k, v in meta.items())
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
@@ -167,8 +168,7 @@ def _cmd_impedance(args) -> int:
     z = cole_cole_impedance(model, w)
     rows = [(float(wi), float(zi.real), float(zi.imag))
             for wi, zi in zip(w, z)]
-    return _emit(args, "impedance", columns=("omega_rad_s", "re_z_ohm", "im_z_ohm"),
-                 rows=rows, default_format="csv")
+    return _emit(args, columns=("omega_rad_s", "re_z_ohm", "im_z_ohm"), rows=rows)
 
 
 def _cmd_arc(args) -> int:
@@ -179,7 +179,7 @@ def _cmd_arc(args) -> int:
            "depression_angle_rad": fit.depression_angle,
            "alpha_implied": fit.alpha_implied,
            "rms_residual_ohm": fit.rms_residual}
-    return _emit(args, "arc", record=rec)
+    return _emit(args, record=rec)
 
 
 def _cmd_ml(args) -> int:
@@ -187,7 +187,7 @@ def _cmd_ml(args) -> int:
     rec = {"alpha": args.alpha, "z": args.z, "value": val.real}
     if val.imag != 0.0:
         rec["value_im"] = val.imag
-    return _emit(args, "ml", record=rec)
+    return _emit(args, record=rec)
 
 
 def _cmd_fracderiv(args) -> int:
@@ -203,21 +203,20 @@ def _cmd_fracderiv(args) -> int:
         raise ValueError(f"{args.input}: t column must be uniformly spaced")
     d = gl_fracderiv(f, args.alpha, h)
     rows = [(float(ti), float(di)) for ti, di in zip(t, d)]
-    return _emit(args, "fracderiv", columns=("t", "value"), rows=rows,
-                 default_format="csv")
+    return _emit(args, columns=("t", "value"), rows=rows)
 
 
 def _cmd_phase(args) -> int:
     pp = phase_angles(args.alpha)
-    return _emit(args, "phase", record={"alpha": args.alpha, "phi": pp.phi,
-                                        "delta": pp.delta})
+    return _emit(args, record={"alpha": args.alpha, "phi": pp.phi,
+                               "delta": pp.delta})
 
 
 def _cmd_twist(args) -> int:
     g = twisted_compose(TwistedShift(args.a1, args.b1, args.theta1),
                         TwistedShift(args.a2, args.b2, args.theta2),
                         args.delta)
-    return _emit(args, "twist", record={"a": g.a, "b": g.b, "theta": g.theta})
+    return _emit(args, record={"a": g.a, "b": g.b, "theta": g.theta})
 
 
 # --- handlers: zeta ------------------------------------------------------------------
@@ -227,14 +226,13 @@ def _cmd_zeta_eval(args) -> int:
     pt = zeta(complex(args.re, args.im))
     rec = {"s_re": pt.s.real, "s_im": pt.s.imag, "value_re": pt.value.real,
            "value_im": pt.value.imag, "abs_err_bound": pt.abs_err_bound}
-    return _emit(args, "zeta eval", record=rec)
+    return _emit(args, record=rec)
 
 
 def _cmd_zeta_zeros(args) -> int:
     zl = find_zeros(args.tmax, grid=args.grid)
     rows = [(i + 1, float(t)) for i, t in enumerate(zl.ordinates)]
-    return _emit(args, "zeta zeros", columns=("index", "t_ordinate"),
-                 rows=rows, default_format="csv")
+    return _emit(args, columns=("index", "t_ordinate"), rows=rows)
 
 
 def _cmd_zeta_paircorr(args) -> int:
@@ -245,17 +243,15 @@ def _cmd_zeta_paircorr(args) -> int:
     centers = 0.5 * (pc.bin_edges[:-1] + pc.bin_edges[1:])
     rows = [(float(c), float(e), float(r))
             for c, e, r in zip(centers, pc.empirical, pc.reference)]
-    return _emit(args, "zeta paircorr",
-                 columns=("bin_center", "empirical", "gue_reference"),
-                 rows=rows, default_format="csv",
-                 seed_used=args.seed if gue else None)
+    return _emit(args, columns=("bin_center", "empirical", "gue_reference"),
+                 rows=rows, seed_used=args.seed if gue else None)
 
 
 def _cmd_zeta_gue(args) -> int:
     pos = gue_sample(args.dim, args.trials, args.seed)
     rows = [(i + 1, float(p)) for i, p in enumerate(pos)]
-    return _emit(args, "zeta gue", columns=("index", "position"), rows=rows,
-                 default_format="csv", seed_used=args.seed)
+    return _emit(args, columns=("index", "position"), rows=rows,
+                 seed_used=args.seed)
 
 
 def _cmd_zeta_universality(args) -> int:
@@ -263,17 +259,14 @@ def _cmd_zeta_universality(args) -> int:
     rep = universality_scan(disc, None, args.epsilon, args.tmax, args.tstep)
     rows = [(float(t), float(e), int(e < rep.epsilon))
             for t, e in zip(rep.t_grid, rep.sup_errors)]
-    return _emit(args, "zeta universality",
-                 columns=("t", "sup_error", "hit"), rows=rows,
-                 default_format="csv")
+    return _emit(args, columns=("t", "sup_error", "hit"), rows=rows)
 
 
 def _cmd_zeta_xi(args) -> int:
     s = complex(args.re, args.im)
     v = completed_xi(s)
-    return _emit(args, "zeta xi", record={"s_re": s.real, "s_im": s.imag,
-                                          "value_re": v.real,
-                                          "value_im": v.imag})
+    return _emit(args, record={"s_re": s.real, "s_im": s.imag,
+                               "value_re": v.real, "value_im": v.imag})
 
 
 def _cmd_zeta_spectral(args) -> int:
@@ -288,7 +281,7 @@ def _cmd_zeta_spectral(args) -> int:
         v = spectral_zeta(lam, complex(s_re, s_im))
         rec = {"s_re": s_re, "s_im": s_im, "value_re": v.real,
                "value_im": v.imag, "route": "direct"}
-    return _emit(args, "zeta spectral", record=rec)
+    return _emit(args, record=rec)
 
 
 # --- handlers: prime-exponent space ----------------------------------------------------
@@ -297,13 +290,13 @@ def _cmd_zeta_spectral(args) -> int:
 def _cmd_epr_factor(args) -> int:
     vec = factorize(args.n)
     rec = {"n": args.n, "factors": {str(p): r for p, r in vec.coords.items()}}
-    return _emit(args, "epr factor", record=rec)
+    return _emit(args, record=rec)
 
 
 def _cmd_epr_lattice(args) -> int:
     join, meet = lcm_gcd(factorize(args.a), factorize(args.b))
     rec = {"a": args.a, "b": args.b, "join": to_int(join), "meet": to_int(meet)}
-    return _emit(args, "epr lattice", record=rec)
+    return _emit(args, record=rec)
 
 
 def _cmd_epr_trace(args) -> int:
@@ -311,7 +304,7 @@ def _cmd_epr_trace(args) -> int:
     v = trace_exp(args.nmax, s)
     rec = {"n_max": args.nmax, "s_re": s.real, "s_im": s.imag,
            "value_re": v.real, "value_im": v.imag}
-    return _emit(args, "epr trace", record=rec)
+    return _emit(args, record=rec)
 
 
 def _cmd_epr_pair(args) -> int:
@@ -325,7 +318,7 @@ def _cmd_epr_pair(args) -> int:
             raise ValueError("epr pair needs two integers (or --invert k)")
         i, j = args.values
         rec = {"i": i, "j": j, "k": pair(i, j)}
-    return _emit(args, "epr pair", record=rec)
+    return _emit(args, record=rec)
 
 
 def _cmd_epr_fiber(args) -> int:
@@ -335,7 +328,7 @@ def _cmd_epr_fiber(args) -> int:
     rec = {"period": dom.period, "copies": dom.copies,
            "min_period": dom.min_period, "disjoint": dom.disjoint,
            "sheets": sheets}
-    return _emit(args, "epr fiber", record=rec)
+    return _emit(args, record=rec)
 
 
 # --- handlers: loop gas -------------------------------------------------------------
@@ -349,7 +342,7 @@ def _cmd_loops_kernel(args) -> int:
            "stability": lat.stability, "row_sum_min": float(sums.min()),
            "row_sum_max": float(sums.max()),
            "symmetric": bool(np.array_equal(k.matrix, k.matrix.T))}
-    return _emit(args, "loops kernel", record=rec)
+    return _emit(args, record=rec)
 
 
 def _cmd_loops_propagator(args) -> int:
@@ -363,8 +356,7 @@ def _cmd_loops_propagator(args) -> int:
             t = step * lat.eps
             rows.extend((float(t), float(x), float(qx))
                         for x, qx in zip(xs, q))
-    return _emit(args, "loops propagator", columns=("t", "x", "value"),
-                 rows=rows, default_format="csv")
+    return _emit(args, columns=("t", "x", "value"), rows=rows)
 
 
 def _cmd_loops_sample(args) -> int:
@@ -385,7 +377,7 @@ def _cmd_loops_sample(args) -> int:
         rec.update(sample_variance=float(np.var(dx)),
                    expected_2dt=lat.hbar * args.steps * lat.eps / lat.mass,
                    mean_weight=float(np.mean(ens.weights)))
-    return _emit(args, "loops sample", record=rec, seed_used=args.seed)
+    return _emit(args, record=rec, seed_used=args.seed)
 
 
 def _cmd_loops_entropy(args) -> int:
@@ -393,8 +385,7 @@ def _cmd_loops_entropy(args) -> int:
     s_path = path_entropies(build_kernel(lat), args.steps)
     rows = [(float(step * lat.eps), float(s))
             for step, s in enumerate(s_path, start=1)]
-    return _emit(args, "loops entropy", columns=("t", "s_path"), rows=rows,
-                 default_format="csv")
+    return _emit(args, columns=("t", "s_path"), rows=rows)
 
 
 def _cmd_loops_fluct(args) -> int:
@@ -403,7 +394,7 @@ def _cmd_loops_fluct(args) -> int:
     rec = {"beta": beta, "dt": dt,
            "dx2": fluctuation_bound(beta, dt, args.mass, hbar),
            "thermal_time": thermal_time(beta, hbar)}
-    return _emit(args, "loops fluct", record=rec)
+    return _emit(args, record=rec)
 
 
 def _cmd_loops_forwardbackward(args) -> int:
@@ -417,8 +408,7 @@ def _cmd_loops_forwardbackward(args) -> int:
         t = step * lat.eps
         rows.extend((float(t), float(x), float(r))
                     for x, r in zip(xs, rhos[step]))
-    return _emit(args, "loops forwardbackward", columns=("t", "x", "value"),
-                 rows=rows, default_format="csv")
+    return _emit(args, columns=("t", "x", "value"), rows=rows)
 
 
 # --- handlers: applied surface --------------------------------------------------------
@@ -435,7 +425,7 @@ def _cmd_fit(args) -> int:
            "r_ct_ohm": res.model.r_ct, "r_s_ohm": res.model.r_s,
            "loss": res.loss, "converged": res.converged,
            "n_iter": res.n_iter}
-    return _emit(args, "fit", record=rec)
+    return _emit(args, record=rec)
 
 
 def _cmd_synth(args) -> int:
@@ -447,10 +437,10 @@ def _cmd_synth(args) -> int:
         save_spectrum(spec, args.out)
         rec = {"written": args.out, "n_points": len(spec.points)}
         args.out = None  # the spectrum took --out; the record goes to stdout
-        return _emit(args, "synth", record=rec, seed_used=args.seed)
+        return _emit(args, record=rec, seed_used=args.seed)
     rows = [(w / (2.0 * math.pi), z.real, z.imag) for w, z in spec.points]
-    return _emit(args, "synth", columns=("freq_hz", "re_z_ohm", "im_z_ohm"),
-                 rows=rows, default_format="csv", seed_used=args.seed)
+    return _emit(args, columns=("freq_hz", "re_z_ohm", "im_z_ohm"),
+                 rows=rows, seed_used=args.seed)
 
 
 # --- parser ---------------------------------------------------------------------------

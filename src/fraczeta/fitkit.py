@@ -132,6 +132,12 @@ def _to_params(raw) -> tuple:
             float(np.logaddexp(0.0, d)))
 
 
+def _to_raw(alpha, tau, r_ct, r_s) -> np.ndarray:
+    """Inverse of _to_params; alpha = 1, which has no logit, maps to 36."""
+    logit = math.log(alpha / (1.0 - alpha)) if alpha < 1.0 else 36.0
+    return np.array([logit, math.log(tau), math.log(r_ct), _softplus_inv(r_s)])
+
+
 def _heuristic_init(w: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Starting point in raw coordinates, on already-normalized data."""
     re = z.real
@@ -143,9 +149,7 @@ def _heuristic_init(w: np.ndarray, z: np.ndarray) -> np.ndarray:
         alpha0 = min(max(arc_fit(z).alpha_implied, 0.3), 0.99)
     except (ValueError, np.linalg.LinAlgError):
         alpha0 = 0.9
-    logit0 = math.log(alpha0 / (1.0 - alpha0))
-    return np.array([logit0, math.log(tau0), math.log(r_ct0),
-                     _softplus_inv(r_s0)])
+    return _to_raw(alpha0, tau0, r_ct0, r_s0)
 
 
 def fit_cole_cole(spec: Spectrum, init=None) -> FitResult:
@@ -189,11 +193,8 @@ def fit_cole_cole(spec: Spectrum, init=None) -> FitResult:
         return float(np.sum((resid.real ** 2 + resid.imag ** 2) * inv_mod2))
 
     if init is not None:
-        x0 = np.array([math.log(init.alpha / (1.0 - init.alpha))
-                       if init.alpha < 1.0 else 36.0,
-                       math.log(init.tau * w_scale),
-                       math.log(init.r_ct / z_scale),
-                       _softplus_inv(init.r_s / z_scale)])
+        x0 = _to_raw(init.alpha, init.tau * w_scale, init.r_ct / z_scale,
+                     init.r_s / z_scale)
     else:
         x0 = _heuristic_init(w, z)
 

@@ -178,7 +178,7 @@ def phase_angles(alpha: float) -> PhasePair:
 # The scales cross at x = -ln(eps)/2 ~ 18, which is where the branch flips.
 
 
-def _ml_series(alpha: float, z: complex, k_max: int = 8000):
+def _ml_series(alpha: float, z: complex):
     # terms built in log space so the pre-cancellation peak (~ exp(x)) never
     # overflows; peak magnitude is retained for the cancellation estimate
     log_az = math.log(abs(z))
@@ -186,7 +186,7 @@ def _ml_series(alpha: float, z: complex, k_max: int = 8000):
     total = 1.0 + 0.0j  # k = 0 term
     peak = 1.0
     k = 1
-    while k < k_max:
+    while k < 8000:
         log_mag = k * log_az - math.lgamma(alpha * k + 1.0)
         if log_mag > 700.0:
             raise MittagLefflerError(
@@ -204,7 +204,7 @@ def _ml_series(alpha: float, z: complex, k_max: int = 8000):
     return total, est
 
 
-def _ml_asymptotic_neg(alpha: float, z: complex, k_max: int = 400):
+def _ml_asymptotic_neg(alpha: float, z: complex):
     # E_a(z) ~ -sum_{k>=1} z^{-k} / Gamma(1 - a k) for real z < 0;
     # divergent tail, truncated at the smallest term (first omitted term
     # taken as the error).  rgamma is zero at the Gamma poles.
@@ -213,7 +213,7 @@ def _ml_asymptotic_neg(alpha: float, z: complex, k_max: int = 400):
     total = 0.0
     prev = math.inf
     omitted = 0.0
-    for k in range(1, k_max):
+    for k in range(1, 400):
         u *= inv
         if u == 0.0:  # z^-k underflowed; 0 * an overflowed rgamma is NaN
             omitted = prev

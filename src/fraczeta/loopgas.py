@@ -114,8 +114,8 @@ class PathEnsemble:
     weights: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.weights <= 0.0):
-            raise ValueError("weights must be positive")
+        if not np.all(np.isfinite(self.weights) & (self.weights > 0.0)):
+            raise ValueError("weights must be finite and positive")
 
     @property
     def ess(self) -> float:
@@ -152,17 +152,12 @@ def build_kernel(lattice: LoopLattice) -> TransferKernel:
     """Free Gaussian step dressed with e^{-eps u/2 hbar} on both sides,
     which keeps the matrix exactly symmetric."""
     u = np.asarray(lattice.potential)
-    if not np.all(np.isfinite(u)):
-        raise ValueError("potential values must be finite")
     half = np.exp(-lattice.eps * u / (2.0 * lattice.hbar))
     mat = np.outer(half, half) * _free_gaussian(lattice)
     return TransferKernel(matrix=mat, eps=lattice.eps, delta=lattice.delta)
 
 
-def _check_sites(kernel_or_lattice, *sites):
-    n = (kernel_or_lattice.matrix.shape[0]
-         if isinstance(kernel_or_lattice, TransferKernel)
-         else kernel_or_lattice.n_sites)
+def _check_sites(n: int, *sites):
     for s in sites:
         if not isinstance(s, (int, np.integer)) or isinstance(s, bool):
             raise TypeError(f"site index must be an integer, got {s!r}")
@@ -178,61 +173,56 @@ def _evolve(matrix: np.ndarray, v: np.ndarray, n_steps: int):
 
 
 def propagator_slices(kernel: TransferKernel, x0: int, n_steps: int):
-    """Yield the density row q(x0 -> ., k*eps) = T^k e_x0 / delta for
-    k = 1..n_steps, one matvec each; its last row holds propagator's value."""
-    _check_sites(kernel, x0)
+    """Density rows q(x0 -> ., k*eps) = T^k e_x0 / delta for k = 1..n_steps,
+    one matvec each, as a generator; the arguments are checked at the call."""
+    _check_sites(len(kernel.matrix), x0)
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    v = np.zeros(kernel.matrix.shape[0])
-    v[x0] = 1.0
-    for v in _evolve(kernel.matrix, v, n_steps):
-        yield v / kernel.delta
+    e_x0 = np.zeros(len(kernel.matrix))
+    e_x0[x0] = 1.0
+    return (v / kernel.delta for v in _evolve(kernel.matrix, e_x0, n_steps))
 
 
 def propagator(kernel: TransferKernel, x0: int, x1: int, n_steps: int) -> float:
-    """Density q(x0 -> x1, n_steps*eps) = (T^n)[x0, x1] / delta."""
-    _check_sites(kernel, x0, x1)
+    """Density q(x0 -> x1, n_steps*eps) = (T^n)[x0, x1] / delta, the last
+    of propagator_slices."""
+    _check_sites(len(kernel.matrix), x1)
+    for q in propagator_slices(kernel, x0, n_steps):
+        pass
+    return float(q[x1])
+
+
+def _loop_traces(kernel: TransferKernel, first: int, n_steps: int) -> list:
+    """(Tr T^n, ln Tr T^n) for n = first..n_steps, from one eigensolve of
+    the symmetric T.  math.log, not np.log, whose SIMD loop may differ by
+    an ulp."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    v = np.zeros(kernel.matrix.shape[0])
-    v[x0] = 1.0
-    for v in _evolve(kernel.matrix, v, n_steps):
-        pass
-    return float(v[x1]) / kernel.delta
-
-
-def _power_traces(kernel: TransferKernel, steps) -> list:
-    """Tr(T^n) for each n in steps, from one eigensolve of the symmetric T."""
     lam = np.linalg.eigvalsh(kernel.matrix)
-    return [float(np.sum(lam ** n)) for n in steps]
-
-
-def _log_partition(z: float) -> float:
-    if not (z > 0.0):
-        raise ArithmeticError(f"loop partition {z} is not positive")
-    return math.log(z)
+    out = []
+    for n in range(first, n_steps + 1):
+        z = float(np.sum(lam ** n))
+        if not (z > 0.0):
+            raise ArithmeticError(f"loop partition {z} is not positive")
+        out.append((z, math.log(z)))
+    return out
 
 
 def loop_partition(kernel: TransferKernel, n_steps: int) -> float:
     """Lattice loop integral over closed paths: Tr(T^n), via the spectrum
     of the symmetric operator."""
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    return _power_traces(kernel, [n_steps])[0]
+    return _loop_traces(kernel, n_steps, n_steps)[0][0]
 
 
 def path_entropy(kernel: TransferKernel, n_steps: int) -> float:
     """ln of the loop integral, in units of k_B."""
-    return _log_partition(loop_partition(kernel, n_steps))
+    return _loop_traces(kernel, n_steps, n_steps)[0][1]
 
 
 def path_entropies(kernel: TransferKernel, n_steps: int) -> np.ndarray:
     """path_entropy(kernel, n) for n = 1..n_steps, bit for bit, from one
     eigensolve."""
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    return np.array([_log_partition(z) for z in
-                     _power_traces(kernel, range(1, n_steps + 1))])
+    return np.array([s for _, s in _loop_traces(kernel, 1, n_steps)])
 
 
 def fluctuation_bound(beta: float, dt: float, mass: float = 1.0,
@@ -326,7 +316,8 @@ def _path_weights(lattice: LoopLattice, paths: np.ndarray) -> np.ndarray:
     free chain reproduce T^n exactly."""
     u = np.asarray(lattice.potential)
     s = u[paths].sum(axis=1) - 0.5 * (u[paths[:, 0]] + u[paths[:, -1]])
-    return np.exp(-lattice.eps * s / lattice.hbar)
+    with np.errstate(over="ignore"):  # inf is refused by PathEnsemble
+        return np.exp(-lattice.eps * s / lattice.hbar)
 
 
 def sample_paths(lattice: LoopLattice, n_paths: int, n_steps: int, seed: int,
@@ -350,11 +341,11 @@ def sample_paths(lattice: LoopLattice, n_paths: int, n_steps: int, seed: int,
         raise ValueError("end_site pins a loop-mode bridge; open paths "
                          "have a free end")
     start = lattice.n_sites // 2 if start_site is None else start_site
-    _check_sites(lattice, start)
+    _check_sites(lattice.n_sites, start)
     rng = np.random.default_rng(seed)
     if mode == "loop":
         end = start if end_site is None else end_site
-        _check_sites(lattice, end)
+        _check_sites(lattice.n_sites, end)
         g = _free_gaussian(lattice)
         paths = _sample_bridge(g, start, end, n_steps, n_paths, rng)
     else:
@@ -385,7 +376,7 @@ def mc_propagator(lattice: LoopLattice, x0: int, x1: int, n_steps: int,
     potential weights, scaled by the free density (G^n)[x0, x1]/delta;
     unbiased for propagator(build_kernel(lattice), x0, x1, n_steps).
     """
-    _check_sites(lattice, x0, x1)
+    _check_sites(lattice.n_sites, x0, x1)
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2 for a standard error, "
                          f"got {n_paths}")
@@ -394,7 +385,7 @@ def mc_propagator(lattice: LoopLattice, x0: int, x1: int, n_steps: int,
                         x0, x1, n_steps)
     paths = _sample_bridge(g, x0, x1, n_steps, n_paths,
                            np.random.default_rng(seed))
-    # the ensemble rejects underflowed weights, as in sample_paths
+    # the ensemble rejects under- and overflowed weights, as in sample_paths
     w = PathEnsemble(n_paths, n_steps, seed, paths,
                      _path_weights(lattice, paths)).weights
     est = q_free * float(np.mean(w))

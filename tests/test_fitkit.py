@@ -189,6 +189,30 @@ def test_fit_with_explicit_init():
     assert abs(res.model.alpha - TRUTH.alpha) < 1e-6
 
 
+def test_fit_from_alpha_one_init_pinned():
+    # alpha = 1 has no logit; the start is clamped to logit 36.  This pins
+    # the whole result as it was before that clamp moved into _to_raw.  The
+    # simplex never leaves the flat top of the sigmoid, so alpha stays 1
+    # and its curvature error bar is nan.
+    spec = synth_spectrum(TRUTH, OMEGAS, 0.01, seed=2)
+    res = fit_cole_cole(spec, init=ColeColeModel(alpha=1.0, tau=1e-3,
+                                                 r_ct=50.0, r_s=5.0))
+    m = res.model
+    assert [m.alpha, m.tau, m.r_ct, m.r_s, res.loss] == [
+        float.fromhex(h) for h in ("0x1.0000000000000p+0",
+                                   "0x1.706760fac05e9p-11",
+                                   "0x1.5fb0723c76ed0p+5",
+                                   "0x1.68a9c74085380p+2",
+                                   "0x1.ffa100eb5c25ep-1")]
+    assert (res.n_iter, res.converged) == (192, True)
+    unc = res.per_param_uncertainty
+    assert math.isnan(unc["alpha"])
+    assert [unc["tau"], unc["r_ct"], unc["r_s"]] == [
+        float.fromhex(h) for h in ("0x1.a4dd3dc4b93cbp-16",
+                                   "0x1.7ba7340c32a02p-1",
+                                   "0x1.d3f41489fc090p-4")]
+
+
 def test_fit_uncertainties_finite_on_noisy_data():
     spec = synth_spectrum(TRUTH, OMEGAS, 0.01, seed=2)
     unc = fit_cole_cole(spec).per_param_uncertainty

@@ -41,6 +41,11 @@ HARMONIC_TRACE_T1 = 0.95951737566747186
 HARMONIC_TRACE_T05 = 1.9793175816510002
 FREE_Q_0_04_T1 = 0.36827014030332331
 
+# sha256 over test_loopgas_battery_hash_pinned's battery, taken before
+# propagator became the last slice of propagator_slices
+LOOPGAS_BATTERY_SHA256 = (
+    "4a9e47963be27b51f541267d4e0d379ad47d47ea3e2729d05e1f5ca9292b7566")
+
 # sha256 of sample_paths(harmonic 161-site lattice, 2000, 100, seed=5,
 # mode="loop").paths as produced by the gather/cumsum reference route
 HARMONIC_LOOP_PATHS_SHA256 = (
@@ -190,13 +195,16 @@ def test_propagator_slices_match_propagator(fine_harmonic):
 
 
 def test_propagator_slices_validation(fine_free):
+    # the call itself raises; no slice has to be drawn first
     _, k = fine_free
     with pytest.raises(ValueError):
-        next(propagator_slices(k, 5, 0))
+        propagator_slices(k, 5, 0)
     with pytest.raises(ValueError):
-        next(propagator_slices(k, -1, 10))
+        propagator_slices(k, 999, 5)
+    with pytest.raises(ValueError):
+        propagator_slices(k, -1, 10)
     with pytest.raises(TypeError):
-        next(propagator_slices(k, 0.5, 10))
+        propagator_slices(k, 0.5, 10)
 
 
 # --- loop integral and entropy ----------------------------------------------------
@@ -523,6 +531,43 @@ def test_bridge_ensemble_hash_pinned():
     paths = sample_paths(lat, 2000, 100, seed=5, mode="loop").paths
     digest = hashlib.sha256(paths.tobytes()).hexdigest()
     assert digest == HARMONIC_LOOP_PATHS_SHA256
+
+
+def test_loopgas_battery_hash_pinned():
+    # transfer and MC propagators, loop partitions, entropies and slices on
+    # 201-site harmonic lattices (eps = 0.005), both boundaries
+    h = hashlib.sha256()
+    for boundary in ("periodic", "reflecting"):
+        lat = make_lattice(-8.0, 8.0, 201, 0.005,
+                           potential=lambda x: x * x / 2, boundary=boundary)
+        k = build_kernel(lat)
+        vals = []
+        for a, b in ((100, 100), (90, 110), (0, 200)):
+            vals.append(propagator(k, a, b, 100))
+            vals.extend(mc_propagator(lat, a, b, 100, 3000, 0))
+        for n in (1, 50, 100, 200):
+            vals.extend((loop_partition(k, n), path_entropy(k, n)))
+        h.update(np.array(vals).tobytes())
+        h.update(path_entropies(k, 120).tobytes())
+        h.update(np.array(list(propagator_slices(k, 77, 30))).tobytes())
+    assert h.hexdigest() == LOOPGAS_BATTERY_SHA256
+
+
+def test_mc_routes_reject_non_finite_weights():
+    # a deep well overflows exp(-eps S_u/hbar); the transfer route already
+    # refuses this lattice, and both MC routes must too
+    lat = make_lattice(-8.0, 8.0, 41, 0.01, potential=lambda x: -1e5)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="kernel entries must be finite"):
+        build_kernel(lat)
+    with pytest.raises(ValueError, match="weights must be finite"):
+        mc_propagator(lat, 20, 20, 10, 100, 0)
+    with pytest.raises(ValueError, match="weights must be finite"):
+        sample_paths(lat, 100, 10, 0)
+    with pytest.raises(ValueError, match="weights must be finite"):
+        PathEnsemble(n_paths=1, n_steps=1, seed=0,
+                     paths=np.zeros((1, 2), dtype=np.int64),
+                     weights=np.array([np.inf]))
 
 
 def test_ensemble_ess(fine_free, fine_harmonic):
