@@ -133,8 +133,10 @@ def _to_params(raw) -> tuple:
 
 
 def _to_raw(alpha, tau, r_ct, r_s) -> np.ndarray:
-    """Inverse of _to_params; alpha = 1, which has no logit, maps to 36."""
-    logit = math.log(alpha / (1.0 - alpha)) if alpha < 1.0 else 36.0
+    """Inverse of _to_params, with alpha clamped to 0.99 first: nearer 1
+    the sigmoid is too flat for the simplex to move alpha at all."""
+    alpha = min(alpha, 0.99)
+    logit = math.log(alpha / (1.0 - alpha))
     return np.array([logit, math.log(tau), math.log(r_ct), _softplus_inv(r_s)])
 
 
@@ -146,7 +148,7 @@ def _heuristic_init(w: np.ndarray, z: np.ndarray) -> np.ndarray:
     apex = int(np.argmax(-z.imag))
     tau0 = 1.0 / w[apex] if -z.imag[apex] > 0.0 else 1.0
     try:
-        alpha0 = min(max(arc_fit(z).alpha_implied, 0.3), 0.99)
+        alpha0 = max(arc_fit(z).alpha_implied, 0.3)
     except (ValueError, np.linalg.LinAlgError):
         alpha0 = 0.9
     return _to_raw(alpha0, tau0, r_ct0, r_s0)

@@ -9,7 +9,9 @@ Euler-Maclaurin core
 with the classical remainder bound |R| <= |(s+2M+1)/(sigma+2M+1)| times
 the first omitted term; every value carries that bound.  On the
 critical line the Riemann-Siegel rotation Z(t) = exp(i theta(t))
-zeta(1/2+it) is real, and its sign changes localize the zeros.  Zero
+zeta(1/2+it) is real, and its sign changes localize the zeros; the
+zero bisection decides most signs by the Riemann-Siegel formula, O(sqrt t)
+terms, where Gabcke's remainder bound certifies them.  Zero
 lists are unfolded by the smooth counting function
 
     Nbar(T) = (T/2pi) log(T/2pi) - T/2pi + 7/8
@@ -28,6 +30,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -78,8 +81,9 @@ class ZeroList:
     """Ordinates t with zeta(1/2+it) = 0, localized to bracket width tol.
 
     min_sign_margin is the smallest |Z|/bound over the sign decisions that
-    placed the zeros: |Z_fast|/gate or |Z_ref|/B_ref at _bisect's midpoints
-    (reference_decisions counts the latter); below 1, one was not certified.
+    placed the zeros: |Z|/gate at _bisect's Riemann-Siegel and fast
+    decisions, |Z_ref|/B_ref at its scalar ones (reference_decisions counts
+    those); below 1, one was not certified.
     """
 
     ordinates: tuple
@@ -320,6 +324,106 @@ def _z_scalar_bound_cap(t: np.ndarray) -> np.ndarray:
     return _Z_TOL + 2.0 * _EPS * (s0 + t * s1 + 1.0)
 
 
+# Taylor coefficients of the Riemann-Siegel corrections C_0..C_4 in
+# x = p - 1/2, of k's parity: row k holds the coefficients of x^(2i + k%2).
+# Regenerated by tests/oracles/rs_coefficients.py (mpmath at 100 digits);
+# the terms dropped past each row sum to under 1e-17 at |x| = 1/2.
+_RS_COEFFS = (
+    (0.3826834323650898, 1.7489618723100817, 2.118025207685496,
+     -0.8707216670511481, -3.4733112243465167, -1.6626947308999325,
+     1.216731288919232, 1.3014304161007977, 0.03051102182736167,
+     -0.3755803051545095, -0.1085784416564066, 0.051832902999549624,
+     0.029999480619902277, -0.0022759396706125644, -0.004382647416580339,
+     -0.0004064230183729847, 0.0004006097785422114, 8.971057991388841e-05,
+     -2.3025650027239108e-05, -9.380006601906792e-06),
+    (-0.053650205256750697, 0.11027818741081483, 1.2317200154315227,
+     1.2634964862799458, -1.695108997559503, -2.9998711967650102,
+     -0.10819944959899208, 1.9407662946212714, 0.7838423561500687,
+     -0.5054829667900366, -0.38450723496057976, 0.03747264646531532,
+     0.09092026610973176, 0.01044923755006451, -0.012582979651583417,
+     -0.003399503721151274, 0.0010410950537714891, 0.0005010949051118486,
+     -3.956359669003182e-05, -4.7624592453571896e-05),
+    (0.005188542830293168, 0.0012378633552253898, -0.18137505725166997,
+     0.14291492748532125, 1.3303391766687565, 0.3522472353403734,
+     -2.421001595891951, -1.6760787022538108, 1.3689416723328371,
+     1.5539019430222982, -0.1722164273472998, -0.6359068055045431,
+     -0.09911649873041208, 0.14033480067387008, 0.04782352019827292,
+     -0.017356040641479782, -0.010225012534028593, 0.0009274149159794888,
+     0.0013572194372373386, 6.41369012029388e-05, -0.0001230080569819663),
+    (-0.0026794321814389136, 0.02995372109103515, -0.042570172541828696,
+     -0.28997965779803886, 0.4888831999235446, 1.230855876395746,
+     -0.8297560708527408, -2.249763536666567, 0.07845139961005472,
+     1.7467492800868893, 0.45968080979749937, -0.6619353471039775,
+     -0.31590441036173633, 0.12844792545207495, 0.10073382716626152,
+     -0.009530183848825268, -0.019264421687514088, -0.001246463715876929,
+     0.0024243969641103086, 0.000437647697741857, -0.00020714032687001792),
+    (0.00046483389361763383, -0.004022642946136188, 0.003847177051796127,
+     0.06581175135809486, -0.19604124343694448, -0.20854053686358853,
+     0.9507754185141751, 0.5341535312914873, -1.67634944117634,
+     -1.076747157875129, 1.235339301656597, 1.0257825340057276,
+     -0.40124095793988546, -0.5036663995108304, 0.03573487795502745,
+     0.14431763086785418, 0.01509152741790347, -0.026098874779194363,
+     -0.006126628379519262, 0.003077503129870841, 0.0011562478934088753,
+     -0.00022775966758472127),
+)
+_RS_T_MIN = 200.0      # Gabcke's bound on the K = 4 remainder holds from here
+
+
+def _z_rs(t_block: np.ndarray):
+    """Riemann-Siegel Z on positive ordinates: (z, bound), |z - Z(t)| <= bound.
+
+    With a = sqrt(t/2pi), N = floor(a) and p = a - N,
+
+        Z(t) = 2 sum_{n<=N} n^{-1/2} cos(theta(t) - t log n)
+             + (-1)^{N-1} (2pi/t)^{1/4} sum_{k<=4} C_k(p) (2pi/t)^{k/2} + R_4,
+
+    and |R_4| <= 0.017 t^{-11/4} for t >= 200 (Gabcke, thesis, Goettingen
+    1979; Arias de Reyna, Math. Comp. 80 (2011) 995-1009).  The bound adds
+    a rounding floor to that.  The phase theta^ - t log n is off by at most
+    dtheta + eps (|theta^| + 2 t log n), where dtheta = 4 eps (|theta^| + t)
+    plus the first omitted term of _rs_theta's series bounds theta^'s own
+    error; dtheta is counted twice, since the scalar route rotates by
+    theta^ and so takes Z cos(dtheta) for Z.  Each term adds 3 eps for its
+    cosine, weight and product, and the sum N eps of its total.  The
+    corrections add (2pi/t)^{1/4} eps (128 + 16 a): Horner sums of degree
+    at most 42 with sum_k sum_m |c_km| 2^{-m} <= 1.2, and p off by 2 a eps
+    under sum_k max |C_k'| <= 4.4.  Below t = 200, where Gabcke's bound
+    does not hold, z is 0 and the bound inf.
+    """
+    t = np.asarray(t_block, dtype=float)
+    z, bound = np.zeros_like(t), np.full_like(t, np.inf)
+    hi = t >= _RS_T_MIN
+    if not hi.any():
+        return z, bound
+    t = t[hi]
+    a = np.sqrt(t / _TWO_PI)
+    n_main = np.floor(a)
+    x = a - n_main - 0.5
+    theta = _rs_theta(t)
+    n = np.arange(1.0, n_main.max() + 1.0)
+    w = np.where(n[None, :] <= n_main[:, None], n ** -0.5, 0.0)
+    t_log_n = np.outer(t, np.log(n))
+    main = 2.0 * np.sum(w * np.cos(theta[:, None] - t_log_n), axis=1)
+    u = np.sqrt(_TWO_PI / t)
+    x2 = x * x
+    c_k = np.zeros((len(_RS_COEFFS), t.size))
+    for coef in reversed(list(zip_longest(*_RS_COEFFS, fillvalue=0.0))):
+        c_k = c_k * x2 + np.array(coef)[:, None]    # Horner in x^2, all k
+    c_k[1::2] *= x
+    corr = c_k[-1]
+    for k in range(len(_RS_COEFFS) - 2, -1, -1):
+        corr = corr * u + c_k[k]
+    sign = np.where(n_main % 2 == 1.0, 1.0, -1.0)
+    z[hi] = main + sign * np.sqrt(u) * corr
+    d_theta = 4.0 * _EPS * (np.abs(theta) + t) + 127.0 / (430080.0 * t ** 7)
+    phase = (2.0 * d_theta + _EPS * (np.abs(theta) + 3.0 + n_main))[:, None] \
+        + 2.0 * _EPS * t_log_n
+    floor = 2.0 * np.sum(w * phase, axis=1) \
+        + np.sqrt(u) * _EPS * (128.0 + 16.0 * a)
+    bound[hi] = 0.017 * t ** -2.75 + floor
+    return z, bound
+
+
 def riemann_siegel_Z(t: float) -> float:
     """Rotated critical-line value Z(t) = e^{i theta(t)} zeta(1/2+it)."""
     if not (t > 0.0 and math.isfinite(t)):
@@ -357,29 +461,40 @@ def _z_scan(t_max: float, grid: float):
 def _bisect(a: np.ndarray, b: np.ndarray, za: np.ndarray):
     """Halve every bracket [a_i, b_i], Z(a_i) = za_i, until b - a <= _ZERO_TOL.
 
-    Each sweep evaluates the midpoints of all live brackets by _z_fast, in
-    ascending chunks of _BISECT_CHUNK.  A fast sign stands when |Z| > gate
-    = its bound + _z_scalar_bound_cap(t); as both routes rotate by the same
-    theta, it then agrees with riemann_siegel_Z's scalar route, which
-    decides every other midpoint, one at a time.  An exact zero closes its
-    bracket.  Returns the centres, the smallest margin (|Z_fast|/gate or
-    |Z_ref|/B_ref) and the number of scalar decisions.
+    Each sweep decides the signs of all live midpoints by a list of routes
+    tried in order, each on the midpoints the ones before it left open:
+    _z_rs on all of them at once, then _z_fast in ascending chunks of
+    _BISECT_CHUNK, then the scalar route of riemann_siegel_Z, one at a
+    time.  A sign from the first two stands only when |Z| > gate = its
+    bound + _z_scalar_bound_cap(t); both bounds cover Z as the scalar
+    route rotates it, so every sign equals the scalar route's, which
+    decides all the rest.  An exact zero closes its bracket.  Returns the
+    centres, the smallest margin (|Z|/gate, or |Z_ref|/B_ref at scalar
+    decisions) and the number of scalar decisions.
     """
+    def fast(m):
+        out = np.empty((2, m.size))
+        for lo in range(0, m.size, _BISECT_CHUNK):
+            out[:, lo:lo + _BISECT_CHUNK] = _z_fast(m[lo:lo + _BISECT_CHUNK])
+        return out
+
     a, b, za = a.copy(), b.copy(), za.copy()
     margin, n_ref = math.inf, 0
     live = np.nonzero(b - a > _ZERO_TOL)[0]
     while live.size:
         m = 0.5 * (a[live] + b[live])
-        zm = np.empty_like(m)
-        gate = np.empty_like(m)
-        for lo in range(0, m.size, _BISECT_CHUNK):
-            sl = slice(lo, lo + _BISECT_CHUNK)
-            zm[sl], gate[sl] = _z_fast(m[sl])
-        gate += _z_scalar_bound_cap(m)
-        ref = np.nonzero(~(np.abs(zm) > gate))[0]
-        for i in ref:
+        cap = _z_scalar_bound_cap(m)
+        zm, gate = np.empty_like(m), np.empty_like(m)
+        open_ = np.arange(m.size)
+        for route in (_z_rs, fast):
+            if not open_.size:
+                break
+            zm[open_], gate[open_] = route(m[open_])
+            gate[open_] += cap[open_]
+            open_ = open_[~(np.abs(zm[open_]) > gate[open_])]
+        for i in open_:
             zm[i:i + 1], gate[i:i + 1] = _z_block(m[i:i + 1])
-        n_ref += ref.size
+        n_ref += open_.size
         margin = min(margin, float(np.min(np.abs(zm) / gate)))
         hit = zm == 0.0
         left = ~hit & ((za[live] < 0.0) == (zm < 0.0))
@@ -396,11 +511,13 @@ def find_zeros(t_max: float, grid: float = 0.05) -> ZeroList:
     bracket is at most 1e-9 wide; ZeroList.tol reports that bracket width.
 
     The scan evaluates the evenly spaced grid through one factored grid
-    sum (_grid_chunks); the bisection halves all brackets together.
-    ZeroList.min_sign_margin is the smallest |Z|/bound over the scan
-    values at each sign change and over every bisection midpoint (see
-    _bisect).  It is reported, never raised on: a margin below 1 means
-    the last halvings went past what the Euler-Maclaurin bound certifies.
+    sum (_grid_chunks); the bisection halves all brackets together and
+    decides each midpoint's sign by the Riemann-Siegel route where its
+    bound certifies it, else by Euler-Maclaurin (see _bisect), so the
+    ordinates equal a scalar bisection's.  ZeroList.min_sign_margin is the
+    smallest |Z|/bound over the scan values at each sign change and over
+    every bisection midpoint.  It is reported, never raised on: a margin
+    below 1 means the last halvings went past what the bounds certify.
 
     The count is checked against the smooth estimate; a mismatch beyond
     +-2 raises MissedZerosError (rerun with a finer grid).

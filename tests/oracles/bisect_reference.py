@@ -4,10 +4,11 @@ This is the original zero finder.  It evaluates the sign scan in blocks of
 4096 grid points through the direct Euler-Maclaurin main sum, then halves
 each sign change on its own with one riemann_siegel_Z call per step.  The
 library evaluates the grid through the factored grid sum and halves all
-brackets together.  It decides each midpoint's sign by a fast route, an
-Euler-Maclaurin sum over ascending chunks of midpoints at about a third of
-this file's cutoff, and keeps that sign only when |Z| clears both routes'
-error bounds; every other midpoint falls back to this file's scalar
+brackets together.  It decides each midpoint's sign by two fast routes in
+turn, the Riemann-Siegel formula and then an Euler-Maclaurin sum over
+ascending chunks of midpoints at about a third of this file's cutoff, and
+keeps a sign only when |Z| clears that route's bound plus the scalar
+route's; every other midpoint falls back to this file's scalar
 evaluation, riemann_siegel_Z.  So both routes make the same sign decisions
 at the same midpoints, and tests/test_zetalab.py requires equal ordinates,
 not close ones.  Imported by the tests; it has no script entry.

@@ -189,28 +189,18 @@ def test_fit_with_explicit_init():
     assert abs(res.model.alpha - TRUTH.alpha) < 1e-6
 
 
-def test_fit_from_alpha_one_init_pinned():
-    # alpha = 1 has no logit; the start is clamped to logit 36.  This pins
-    # the whole result as it was before that clamp moved into _to_raw.  The
-    # simplex never leaves the flat top of the sigmoid, so alpha stays 1
-    # and its curvature error bar is nan.
+def test_fit_from_alpha_one_init_leaves_the_boundary():
+    # alpha = 1 has no logit, and near it the sigmoid is too flat for the
+    # simplex to move alpha; the start is clamped to 0.99, so the fit
+    # reaches the heuristic start's optimum with finite error bars
     spec = synth_spectrum(TRUTH, OMEGAS, 0.01, seed=2)
     res = fit_cole_cole(spec, init=ColeColeModel(alpha=1.0, tau=1e-3,
                                                  r_ct=50.0, r_s=5.0))
-    m = res.model
-    assert [m.alpha, m.tau, m.r_ct, m.r_s, res.loss] == [
-        float.fromhex(h) for h in ("0x1.0000000000000p+0",
-                                   "0x1.706760fac05e9p-11",
-                                   "0x1.5fb0723c76ed0p+5",
-                                   "0x1.68a9c74085380p+2",
-                                   "0x1.ffa100eb5c25ep-1")]
-    assert (res.n_iter, res.converged) == (192, True)
+    assert res.converged
+    assert res.model.alpha == pytest.approx(0.8012, abs=1e-4)
+    assert res.loss == pytest.approx(0.0115, abs=1e-4)
     unc = res.per_param_uncertainty
-    assert math.isnan(unc["alpha"])
-    assert [unc["tau"], unc["r_ct"], unc["r_s"]] == [
-        float.fromhex(h) for h in ("0x1.a4dd3dc4b93cbp-16",
-                                   "0x1.7ba7340c32a02p-1",
-                                   "0x1.d3f41489fc090p-4")]
+    assert all(math.isfinite(v) and v > 0.0 for v in unc.values())
 
 
 def test_fit_uncertainties_finite_on_noisy_data():

@@ -34,10 +34,12 @@ from fraczeta.zetalab import (
     universality_scan,
     zeta,
     _BISECT_CHUNK,
+    _RS_COEFFS,
     _em_block,
     _grid_chunks,
     _z_block,
     _z_fast,
+    _z_rs,
     _z_scalar_bound_cap,
     _z_scan,
 )
@@ -71,10 +73,16 @@ Z_30 = 0.596028519239885
 ZEROS_1000_SHA256 = (
     "68f8656aea5020f5da5d2232fa4fc12fb720c3a49b2c161f06c67cc1874fee66")
 
-_spec = importlib.util.spec_from_file_location(
-    "bisect_reference", Path(__file__).parent / "oracles" / "bisect_reference.py")
-bisect_reference = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bisect_reference)
+
+def _load_oracle(name):
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).parent / "oracles" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bisect_reference = _load_oracle("bisect_reference")
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +308,60 @@ def test_reference_decisions_counted(zeros_1000):
     assert find_zeros(5.0).reference_decisions == 0
 
 
+@pytest.fixture(scope="module")
+def rs_and_scalar():
+    """400 seeded ordinates log-uniform in [200, 1e4] and 100 uniform in
+    [200, 260], where Gabcke's term is most of the bound, through _z_rs
+    and through the scalar route one at a time."""
+    rng = np.random.default_rng(2029)
+    ts = np.sort(np.concatenate([
+        np.exp(rng.uniform(math.log(200.0), math.log(1.0e4), 400)),
+        rng.uniform(200.0, 260.0, 100)]))
+    z_rs, b_rs = _z_rs(ts)
+    scalar = np.array([_z_block(ts[i:i + 1]) for i in range(ts.size)])[:, :, 0]
+    return ts, z_rs, b_rs, scalar[:, 0]
+
+
+def test_rs_sign_gate_is_sound(rs_and_scalar):
+    ts, z_rs, b_rs, z_ref = rs_and_scalar
+    assert np.all(np.abs(z_rs - z_ref) <= b_rs + _z_scalar_bound_cap(ts))
+
+
+def test_rs_bound_covers_mpmath(rs_and_scalar):
+    mpmath = pytest.importorskip("mpmath")
+    ts, z_rs, b_rs, _ = rs_and_scalar
+    with mpmath.workdps(25):
+        ref = np.array([float(mpmath.siegelz(mpmath.mpf(float(t))))
+                        for t in ts])
+    assert np.all(np.abs(z_rs - ref) <= b_rs)
+
+
+def test_rs_bound_is_infinite_below_200():
+    z, bound = _z_rs(np.array([14.0, 150.0, 199.99, 200.0]))
+    assert np.all(np.isinf(bound[:3])) and np.all(z[:3] == 0.0)
+    assert np.isfinite(bound[3]) and z[3] != 0.0
+
+
+def test_rs_floor_constants_hold_for_the_table():
+    # _z_rs's rounding floor for the corrections takes sum_k sum_m
+    # |c_km| 2^-m <= 1.2 and sum_k max |C_k'| <= 4.4 on |x| <= 1/2
+    size = slope = 0.0
+    for k, row in enumerate(_RS_COEFFS):
+        m = np.arange(len(row)) * 2 + k % 2
+        size += float(np.sum(np.abs(row) * 0.5 ** m))
+        slope += float(np.sum(m * np.abs(row) * 0.5 ** (m - 1.0)))
+    assert size <= 1.2 and slope <= 4.4
+    assert max(2 * len(row) - 2 + k % 2
+               for k, row in enumerate(_RS_COEFFS)) <= 42
+
+
+def test_rs_coefficient_table_matches_oracle():
+    pytest.importorskip("mpmath")
+    oracle = _load_oracle("rs_coefficients")
+    assert _RS_COEFFS == oracle.rs_coefficients()
+    assert all(tail < 1e-17 for tail in oracle.dropped_tails())
+
+
 def _blind_fast(t_block):
     z, bound = _z_block(t_block)
     return z, np.full_like(bound, np.inf)
@@ -315,13 +377,13 @@ def _lying_fast(t_block):
 
 
 @pytest.fixture(scope="module")
-def zeros_200_reference():
-    return bisect_reference.find_zeros(200.0)
+def zeros_300_reference():
+    return bisect_reference.find_zeros(300.0)
 
 
 @pytest.mark.parametrize("fake_fast", [_blind_fast, _lying_fast])
 def test_reference_route_alone_matches_scalar_bisection(
-        monkeypatch, zeros_200_reference, fake_fast):
+        monkeypatch, zeros_300_reference, fake_fast):
     direct_calls = []
 
     def spy(t_block, phases=None, cutoff=None):
@@ -329,10 +391,13 @@ def test_reference_route_alone_matches_scalar_bisection(
             direct_calls.append((t_block.size, cutoff))
         return _z_block(t_block, phases, cutoff)
 
+    # both fast routes, Riemann-Siegel (from t = 200) and the chunked
+    # Euler-Maclaurin sum, are replaced by the fake
+    monkeypatch.setattr("fraczeta.zetalab._z_rs", fake_fast)
     monkeypatch.setattr("fraczeta.zetalab._z_fast", fake_fast)
     monkeypatch.setattr("fraczeta.zetalab._z_block", spy)
-    zl = find_zeros(200.0)
-    assert np.array_equal(zl.ordinates, zeros_200_reference)
+    zl = find_zeros(300.0)
+    assert np.array_equal(zl.ordinates, zeros_300_reference)
     # every 0.05 bracket takes 26 halvings to reach 1e-9, each decided
     # by the scalar route at its default cutoff
     assert zl.reference_decisions == 26 * len(zl.ordinates)
