@@ -15,6 +15,7 @@ Natural units hbar = m = k_B = 1 by default, all overridable.
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,7 +93,11 @@ def make_lattice(x_min, x_max, n_sites, eps, mass=1.0, hbar=1.0,
 
 @dataclass(frozen=True)
 class TransferKernel:
-    """One-step operator: symmetric, nonnegative, delta included."""
+    """One-step operator: symmetric, nonnegative, delta included.
+
+    The matrix is made read-only, so the spectrum computed from it on
+    first use stays valid for the kernel's lifetime.
+    """
 
     matrix: np.ndarray
     eps: float
@@ -101,6 +106,15 @@ class TransferKernel:
     def __post_init__(self):
         if not np.all(np.isfinite(self.matrix)):
             raise ValueError("kernel entries must be finite")
+        self.matrix.flags.writeable = False
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues of the symmetric matrix, ascending, from one
+        eigensolve shared by every loop integral on this kernel."""
+        lam = np.linalg.eigvalsh(self.matrix)
+        lam.flags.writeable = False
+        return lam
 
 
 @dataclass(frozen=True)
@@ -193,12 +207,12 @@ def propagator(kernel: TransferKernel, x0: int, x1: int, n_steps: int) -> float:
 
 
 def _loop_traces(kernel: TransferKernel, first: int, n_steps: int) -> list:
-    """(Tr T^n, ln Tr T^n) for n = first..n_steps, from one eigensolve of
-    the symmetric T.  math.log, not np.log, whose SIMD loop may differ by
+    """(Tr T^n, ln Tr T^n) for n = first..n_steps, from the kernel's
+    cached spectrum.  math.log, not np.log, whose SIMD loop may differ by
     an ulp."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    lam = np.linalg.eigvalsh(kernel.matrix)
+    lam = kernel.spectrum
     out = []
     for n in range(first, n_steps + 1):
         z = float(np.sum(lam ** n))
@@ -276,13 +290,17 @@ def _sample_bridge(g: np.ndarray, start: int, end: int, n_steps: int,
     """Exact lattice bridge: forward categorical sampling of the free
     chain pinned at both ends, using backward partials b_j = G^j[:, end].
 
-    One n x n cumsum per step serves all paths: a path at site i counts
-    the entries of row i below its draw u, the same count as one gathered
-    row per path.  Rows sit in an (n, W) buffer, W = 2^bit_length(n) > n,
-    whose tail is +inf.  A row is nondecreasing (G, b >= 0) and the pad
-    is never below u, so the padded row has the same count of entries
-    below u, and one branchless lower-bound search of log2(W) halvings
-    finds it for every path at once.
+    One cumsum of G * b_j per step serves all paths: a path at site i
+    counts the entries of row i below its draw u, the same count as one
+    gathered row per path.  Only rows cur.min()..cur.max() are summed;
+    the rest keep stale sums that no path reads, and each row is its own
+    sequential sum, so the range changes no bit.  Rows sit in an (n, W)
+    buffer, W = 2^bit_length(n) > n, whose tail is +inf.  A row is
+    nondecreasing (G, b >= 0) and the pad is never below u, so the padded
+    row has the same count of entries below u, and one branchless
+    lower-bound search of log2(W) halvings finds it for every path at
+    once.  Halving s reads the view flat[s - 1:], and the search moves at
+    most W - 1 past the row start, so the count is pos mod W.
     """
     n = g.shape[0]
     e_end = np.zeros(n)
@@ -291,21 +309,21 @@ def _sample_bridge(g: np.ndarray, start: int, end: int, n_steps: int,
     width = 1 << n.bit_length()
     buf = np.full((n, width), np.inf)
     flat = buf.reshape(-1)
+    halvings = [(width >> i, flat[(width >> i) - 1:])
+                for i in range(1, width.bit_length())]
     paths = np.empty((n_paths, n_steps + 1), dtype=np.int64)
     paths[:, 0] = start
     paths[:, n_steps] = end
     for lo in range(0, n_paths, _CHUNK):
         cur = np.full(min(_CHUNK, n_paths - lo), start, dtype=np.int64)
         for k in range(1, n_steps):
-            np.cumsum(g * b[n_steps - k], axis=1, out=buf[:, :n])
+            r0, r1 = cur.min(), cur.max() + 1
+            np.cumsum(g[r0:r1] * b[n_steps - k], axis=1, out=buf[r0:r1, :n])
             u = rng.random(cur.size) * buf[cur, n - 1]
-            row = cur * width
-            pos = row.copy()
-            step = width >> 1
-            while step:
-                pos += step * (flat[pos + (step - 1)] < u)
-                step >>= 1
-            cur = np.minimum(pos - row, n - 1)
+            pos = cur * width
+            for step, ahead in halvings:
+                pos += step * (ahead[pos] < u)
+            cur = np.minimum(pos & (width - 1), n - 1)
             paths[lo: lo + cur.size, k] = cur
     return paths
 

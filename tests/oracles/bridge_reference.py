@@ -3,11 +3,12 @@
 This is the original gather/cumsum sampler.  At every step it gathers the
 kernel rows g[cur] of all paths (paths x sites), weights them by the
 backward partials, takes their cumulative sums and counts the entries
-below a uniform draw.  The library now computes one n x n cumulative sum
-per step, pads each row with +inf to a power-of-two width, and runs one
-branchless lower-bound search for all paths at once.  A padded entry is
-never below a finite draw, so the search counts the same entries as the
-comparison here.  Both routes make the same floating-point operations and
+below a uniform draw.  The library instead sums, at each step, only the
+kernel rows between the lowest and highest site its paths occupy (a row's
+cumulative sum does not depend on its neighbours), pads each row with +inf
+to a power-of-two width, and runs one branchless lower-bound search for
+all paths at once.  A padded entry is never below a finite draw, so the
+search counts the same entries as the comparison here.  Both routes make the same floating-point operations and
 the same random draws in the same order, so tests/test_loopgas.py requires
 equal paths, not close ones.  Imported by the tests; it has no script entry.
 """

@@ -139,6 +139,15 @@ def test_kernel_positive_entries_periodic_free():
     assert np.all(build_kernel(lat).matrix > 0.0)
 
 
+def test_kernel_matrix_read_only():
+    # the cached spectrum is only valid while the matrix cannot change
+    k = build_kernel(_quiet_lattice(-2.0, 2.0, 41, 0.05))
+    with pytest.raises(ValueError):
+        k.matrix[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        k.spectrum[0] = 1.0
+
+
 # --- propagator ----------------------------------------------------------------
 
 
@@ -258,6 +267,31 @@ def test_path_entropies_match_single_steps(fine_harmonic):
     assert curve.tolist() == [path_entropy(k, n) for n in range(1, 13)]
     with pytest.raises(ValueError, match="n_steps must be >= 1"):
         path_entropies(k, 0)
+
+
+def test_loop_traces_share_one_eigensolve(monkeypatch):
+    lat = _quiet_lattice(-8.0, 8.0, 161, 0.01, potential=lambda x: x * x / 2)
+    ns = (50, 100, 200)
+
+    def battery(fresh):
+        vals = [loop_partition(fresh(), n) for n in ns]
+        vals += [path_entropy(fresh(), n) for n in ns]
+        return vals, path_entropies(fresh(), 120)
+
+    want, want_all = battery(lambda: build_kernel(lat))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    k = build_kernel(lat)
+    got, got_all = battery(lambda: k)
+    assert calls == [(161, 161)]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert got_all.tobytes() == want_all.tobytes()
 
 
 def test_partition_validation(fine_free):
@@ -506,6 +540,10 @@ _BRIDGE_CASES = [
     ("reflecting", 41, 36, 40, 20, 2000, dict(eps=0.05)),
     # narrow kernel: underflowed zeros make long runs of equal cumsum entries
     ("periodic", 161, 80, 85, 40, 2000, dict(eps=5e-4)),
+    # paths cross the periodic seam, so the summed rows span both ends
+    ("periodic", 201, 2, 198, 100, 2000,
+     dict(eps=0.005, potential=lambda x: 0.5 * x * x)),
+    ("periodic", 161, 0, 0, 60, 3000, {}),
 ]
 
 
