@@ -13,8 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import expit
 
 from .fracdyn import ColeColeModel, arc_fit, cole_cole_impedance
 
@@ -127,6 +125,8 @@ def _softplus_inv(y: float) -> float:
 
 
 def _to_params(raw) -> tuple:
+    from scipy.special import expit
+
     a, b, c, d = raw
     return (float(expit(a)), math.exp(b), math.exp(c),
             float(np.logaddexp(0.0, d)))
@@ -162,6 +162,9 @@ def fit_cole_cole(spec: Spectrum, init=None) -> FitResult:
     unconstrained.  A single restart from the 10%-perturbed heuristic
     init runs when the first pass fails to converge.
     """
+    from scipy.optimize import minimize
+    from scipy.special import expit
+
     n_pts = len(spec.points)
     if n_pts < 5:
         raise ValueError(f"need >= 5 points to fit, got {n_pts}")

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import rgamma
 
 _EPS = 2.220446049250313e-16
 _TWO_PI = 2.0 * math.pi
@@ -208,6 +207,8 @@ def _ml_asymptotic_neg(alpha: float, z: complex):
     # E_a(z) ~ -sum_{k>=1} z^{-k} / Gamma(1 - a k) for real z < 0;
     # divergent tail, truncated at the smallest term (first omitted term
     # taken as the error).  rgamma is zero at the Gamma poles.
+    from scipy.special import rgamma
+
     inv = 1.0 / z.real  # negative
     u = 1.0
     total = 0.0

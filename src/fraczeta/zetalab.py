@@ -33,8 +33,6 @@ from dataclasses import dataclass
 from itertools import zip_longest
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.special import bernoulli, gamma as _gamma_fn, loggamma
 
 from .eprspace import primes_upto
 
@@ -48,9 +46,33 @@ _GRID_CELLS = 2 ** 21  # complex entries of the grid factor, 32 MB
 _BISECT_CHUNK = 128   # midpoints per _z_fast call; each chunk gets its own N
 _Z_TOL = 1e-12        # Bernoulli-tail tolerance of every Z evaluation
 
-# B_{2k}/(2k)! for k = 0..cap, the only Bernoulli data the tail needs
-_B2F = bernoulli(2 * _M_CAP + 2)[0::2] / np.array(
-    [math.factorial(2 * k) for k in range(_M_CAP + 2)])
+# B_{2k}/(2k)! for k = 0..cap+1, the only Bernoulli data the tail needs:
+# the floats scipy.special.bernoulli(2*cap + 2)[0::2] divided by (2k)!
+# gives, kept bit for bit so every Euler-Maclaurin sum stays unchanged
+# (they are not the nearest floats to the exact ratios; see test_zetalab)
+_B2F = (
+    1.0, 0.08333333333333333, -0.0013888888888864963, 3.306878306878106e-05,
+    -8.267195767195686e-07, 2.087675698786806e-08, -5.284190138687491e-10,
+    1.3382536530684685e-11, -3.389680296322585e-13, 8.586062056277853e-15,
+    -2.1748686985580641e-16, 5.5090028283602365e-18, -1.3954464685812542e-19,
+    3.5347070396294725e-21, -8.95351742703756e-23, 2.2679524523376862e-24,
+    -5.74479066887221e-26, 1.455172475614867e-27, -3.6859949406653153e-29,
+    9.336734257095059e-31, -2.365022415700634e-32, 5.990671762482143e-34,
+    -1.5174548844682927e-35, 3.843758125454195e-37, -9.736353072646711e-39,
+    2.466247044200686e-40, -6.247076741820757e-42, 1.5824030244644948e-43,
+    -4.0082736859489445e-45, 1.0153075855569579e-46, -2.571804158241878e-48,
+    6.514456035233831e-50, -1.6501309906896566e-51, 4.179830628539488e-53,
+    -1.058763466770294e-54, 2.681879191260779e-56, -6.793279351107443e-58,
+    1.720757761668146e-59, -4.358730329348908e-61, 1.1040792903684705e-62,
+    -2.7966655133781443e-64, 7.084036501679495e-66, -1.7944074082892307e-67,
+    4.5452870636111126e-69, -1.1513346631982095e-70, 2.916364771092372e-72,
+    -7.387238263497364e-74, 1.871209311763802e-75, -4.739828557761817e-77,
+    1.200612599335455e-78, -3.0411872415143037e-80, 7.703417274705134e-82,
+    -1.9512983909098906e-83, 4.9426965651594806e-85, -1.2519996659171898e-86,
+    3.1713522017635287e-88, -8.033128970735369e-90, 2.034815339166155e-91,
+    -5.154247466447497e-93, 1.3055861352149526e-94, -3.3070883141751066e-96,
+    8.376952560049131e-98,
+)
 
 
 class ZetaAccuracyError(ArithmeticError):
@@ -270,19 +292,33 @@ def completed_xi(s: complex) -> complex:
     s = complex(s)
     if s == 0.0 or s == 1.0:
         return 0.5 + 0.0j
+    from scipy.special import gamma
+
     z = zeta(s).value
     return 0.5 * s * (s - 1.0) * cmath.exp(-0.5 * s * math.log(math.pi)) \
-        * complex(_gamma_fn(s / 2.0)) * z
+        * complex(gamma(s / 2.0)) * z
 
 
 # --- critical line -------------------------------------------------------------
+
+
+# B_{2k}/(2k(2k-1)), k = 1..7: the Stirling series of log Gamma
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
+             1 / 156)
 
 
 def _rs_theta(t):
     """theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi, continuous.
 
     The log-Gamma asymptotic expansion is used for t >= 10 (error below
-    1e-8 there); direct log-Gamma takes over for smaller t.
+    1e-8 there).  For smaller t, z = 1/4 + it/2 is shifted to w = z + 10:
+    log Gamma(z) = log Gamma(w) - sum_{j<10} log(z + j), with every
+    Re(z + j) > 0, so each log is principal and the sum continuous; log
+    Gamma(w) is Stirling's series to the B_14 term.  Its remainder is at
+    most sec^16(arg(w)/2) < 1.52 times the first omitted term, the B_16
+    one (DLMF 5.11.ii): under 3.1e-17, as |w| >= 10.25 and |arg w| < 0.454.
+    The terms sum to under 55 in magnitude and each carries at most 4
+    roundings, so theta is off by less than 5e-14.
     """
     t = np.asarray(t, dtype=float)
     out = np.empty_like(t)
@@ -295,7 +331,15 @@ def _rs_theta(t):
     lo = ~hi
     if np.any(lo):
         tl = t[lo]
-        out[lo] = np.imag(loggamma(0.25 + 0.5j * tl)) - 0.5 * tl * math.log(math.pi)
+        z = 0.25 + 0.5j * tl
+        w = z + 10.0
+        w2 = w * w
+        series = _STIRLING[-1]
+        for c in _STIRLING[-2::-1]:
+            series = series / w2 + c
+        log_gamma_w = (w - 0.5) * np.log(w) - w + series / w
+        shift = np.angle(z[:, None] + np.arange(10.0)).sum(axis=1)
+        out[lo] = log_gamma_w.imag - shift - 0.5 * tl * math.log(math.pi)
     return out
 
 
@@ -647,6 +691,9 @@ def heat_trace_mellin(eigenvalues, s: float) -> float:
     Quadrature runs on u = log t; the normalized transform equals
     spectral_zeta for any finite positive spectrum.
     """
+    from scipy.integrate import IntegrationWarning, quad
+    from scipy.special import gamma
+
     lam = _spectrum(eigenvalues)
     if not (s > 0.0 and math.isfinite(s)):
         raise ValueError(f"s must be positive and finite, got {s}")
@@ -664,8 +711,9 @@ def heat_trace_mellin(eigenvalues, s: float) -> float:
                                epsabs=1e-12, epsrel=1e-12, limit=300)
         except IntegrationWarning as exc:
             raise QuadratureError(f"heat-trace quadrature failed: {exc}") from exc
-    out = val / float(_gamma_fn(s))
-    if abserr / float(_gamma_fn(s)) > 1e-8 * max(1.0, abs(out)):
+    gamma_s = float(gamma(s))
+    out = val / gamma_s
+    if abserr / gamma_s > 1e-8 * max(1.0, abs(out)):
         raise QuadratureError(
             f"quadrature error {abserr:.2e} above tolerance at s={s}")
     return out

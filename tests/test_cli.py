@@ -11,6 +11,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -550,6 +553,52 @@ def test_fit_accepts_explicit_init(tmp_path, capsys):
                     "--init-rs", "2", "--no-timestamp")
     assert code == 0
     assert json.loads(out)["alpha"] == pytest.approx(0.85, abs=1e-3)
+
+
+# --- cold start ------------------------------------------------------------------
+
+_COLD_START = """
+import json, sys
+import numpy as np
+import fraczeta.cli
+from fraczeta import eprspace, fitkit, fracdyn, loopgas, zetalab
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+zetalab.find_zeros(30.0)
+zetalab.zeta(0.5 + 20.0j)
+zetalab.gue_sample(200, 2, 1)
+zetalab.universality_scan(zetalab.Disc(0.75, 0.05), None, 0.3, 5.0, 0.05)
+lat = loopgas.make_lattice(-4.0, 4.0, 41, 0.01, potential=lambda x: 0.5 * x * x)
+loopgas.propagator(loopgas.build_kernel(lat), 20, 22, 10)
+loopgas.mc_propagator(lat, 20, 22, 10, 100, 0)
+eprspace.factorize(360)
+before = scipy_modules()
+spec = fitkit.synth_spectrum(fracdyn.ColeColeModel(0.8, 1e-3, 50.0, 5.0),
+                             np.logspace(0.0, 6.0, 30), 0.0, 0)
+print(json.dumps({"before": before,
+                  "alpha": fitkit.fit_cole_cole(spec).model.alpha,
+                  "mellin": zetalab.heat_trace_mellin([1.0, 2.0], 2.0),
+                  "after": scipy_modules()}))
+"""
+
+
+def test_scipy_stays_off_the_import_path():
+    """Importing the CLI and running the zeta, GUE, loop-gas and lattice
+    calls loads no scipy module; the fit and the heat-trace transform
+    load it when first called."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", _COLD_START], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["before"] == []
+    assert abs(out["alpha"] - 0.8) < 1e-6
+    assert abs(out["mellin"] - 1.25) < 1e-10
+    assert "scipy.optimize" in out["after"] and "scipy.integrate" in out["after"]
 
 
 # --- pinned output bytes --------------------------------------------------------

@@ -184,6 +184,81 @@ def test_riemann_siegel_Z_frozen():
     assert abs(_rs_theta(5.0) - THETA_5) < 1e-10
 
 
+THETA_LO_BOUND = 5e-14   # _rs_theta's stated error below t = 10
+ASYMPTOTIC_THETA_ERR = 1e-8   # its stated error from t = 10 on
+
+
+def _theta_scipy(t):
+    from scipy.special import loggamma
+
+    return np.imag(loggamma(0.25 + 0.5j * t)) - 0.5 * t * math.log(math.pi)
+
+
+def test_rs_theta_low_branch_matches_log_gamma():
+    from fraczeta.zetalab import _rs_theta
+
+    t = np.sort(np.random.default_rng(20231).uniform(0.0, 10.0, 400))
+    t = np.concatenate([[1e-300, 1e-9, 0.5, 9.999], t, [np.nextafter(10.0, 0.0)]])
+    theta = _rs_theta(t)
+    assert np.max(np.abs(theta - _theta_scipy(t))) < THETA_LO_BOUND
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.im(mpmath.loggamma(0.25 + 0.5j * mpmath.mpf(x)))
+                              - mpmath.mpf(x) / 2 * mpmath.log(mpmath.pi))
+                        for x in t])
+    assert np.max(np.abs(theta - ref)) < THETA_LO_BOUND
+
+
+def test_rs_theta_branches_meet_at_ten():
+    from fraczeta.zetalab import _rs_theta
+
+    below, at = _rs_theta(np.array([np.nextafter(10.0, 0.0), 10.0]))
+    assert abs(below - at) < ASYMPTOTIC_THETA_ERR
+    assert abs(at - _theta_scipy(10.0)) < ASYMPTOTIC_THETA_ERR
+
+
+def _exact_b2f(count):
+    """B_{2k}/(2k)! for k < count as Fractions, from the recurrence
+    sum_{j<=m} C(m+1, j) B_j = 0."""
+    from fractions import Fraction
+
+    b = [Fraction(1)]
+    for m in range(1, 2 * count - 1):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return [b[2 * k] / math.factorial(2 * k) for k in range(count)]
+
+
+def test_b2f_table_is_scipys_bernoulli_floats():
+    """_B2F is the table the Euler-Maclaurin tail was pinned with, bit for
+    bit: scipy's Bernoulli floats over (2k)!."""
+    from scipy.special import bernoulli
+
+    from fraczeta.zetalab import _B2F, _M_CAP
+
+    formula = bernoulli(2 * _M_CAP + 2)[0::2] / np.array(
+        [math.factorial(2 * k) for k in range(_M_CAP + 2)])  # object dtype
+    assert np.array(_B2F).tobytes() == formula.astype(float).tobytes()
+
+
+def test_b2f_deviation_from_exact_stays_inside_zeta_bound(monkeypatch):
+    """scipy's B_4 is off by 1.7e-12 relative and B_6 by 6e-14; the rest by
+    under 1e-14.  Exact coefficients move zeta(1/2 + 20i) by far less than
+    its reported bound."""
+    from fractions import Fraction
+
+    from fraczeta import zetalab
+
+    exact = _exact_b2f(len(zetalab._B2F))
+    rel = [abs(float((Fraction(b) - e) / e)) for b, e in zip(zetalab._B2F, exact)]
+    assert 1.7e-12 < rel[2] < 1.8e-12
+    assert 5e-14 < rel[3] < 7e-14
+    assert max(rel[:2] + rel[4:]) < 1e-14
+    point = zeta(0.5 + 20.0j)
+    monkeypatch.setattr(zetalab, "_B2F", tuple(float(e) for e in exact))
+    moved = abs(zeta(0.5 + 20.0j).value - point.value)
+    assert moved < 1e-2 * point.abs_err_bound
+
+
 def test_Z_modulus_matches_zeta():
     ts = np.linspace(10.0, 100.0, 1000)
     for t in ts[::37]:
