@@ -44,6 +44,7 @@ _ZERO_TOL = 1e-9      # bracket width find_zeros bisects to and reports
 _GRID_ROWS = 512      # shifts per grid chunk; a chunk shares one cutoff N
 _GRID_CELLS = 2 ** 21  # complex entries of the grid factor, 32 MB
 _BISECT_CHUNK = 128   # midpoints per _z_fast call; each chunk gets its own N
+_RS_SCAN_BLOCK = 4096  # scan points per _z_rs call; 1.3 MB arrays at t = 1e4
 _Z_TOL = 1e-12        # Bernoulli-tail tolerance of every Z evaluation
 
 # B_{2k}/(2k)! for k = 0..cap+1, the only Bernoulli data the tail needs:
@@ -103,9 +104,10 @@ class ZeroList:
     """Ordinates t with zeta(1/2+it) = 0, localized to bracket width tol.
 
     min_sign_margin is the smallest |Z|/bound over the sign decisions that
-    placed the zeros: |Z|/gate at _bisect's Riemann-Siegel and fast
-    decisions, |Z_ref|/B_ref at its scalar ones (reference_decisions counts
-    those); below 1, one was not certified.
+    placed the zeros: |Z|/gate at the Riemann-Siegel decisions of the scan
+    and of _bisect and at _bisect's fast ones, |Z|/bound at the scan's grid
+    values, |Z_ref|/B_ref at _bisect's scalar decisions (reference_decisions
+    counts those); below 1, one was not certified.
     """
 
     ordinates: tuple
@@ -226,21 +228,28 @@ def _em_block(base: np.ndarray, shifts: np.ndarray, tol: float,
     return main + corr, bound + 2.0 * noise
 
 
+def _grid_factor(base: np.ndarray, shifts: np.ndarray, step: float,
+                 cutoff: int | None = None) -> np.ndarray:
+    """The grid factor phases[k, n-1] = exp(-i k step log n) for n < cutoff
+    (default the largest cutoff on the grid shifts), with at most
+    _GRID_ROWS rows, fewer when needed to stay within _GRID_CELLS entries
+    at that largest cutoff."""
+    n_max = _cutoff(base, shifts[[0, -1]])         # |Im b + t| peaks at an end
+    rows = max(1, min(_GRID_ROWS, _GRID_CELLS // n_max))
+    log_n = np.log(np.arange(1, cutoff or n_max, dtype=float))
+    return np.exp(-1j * np.outer(np.arange(rows) * step, log_n))
+
+
 def _grid_chunks(base: np.ndarray, shifts: np.ndarray, step: float):
     """Split the ascending grid shifts[k] = shifts[0] + k*step into chunks
     of _GRID_ROWS shifts, each to share one cutoff in _em_block.
 
-    Yields (slice, phases) per chunk, where phases[k, n-1] =
-    exp(-i k step log n) is the grid factor _em_block takes.  It is built
-    once, with columns for the largest cutoff on the grid and at most
-    _GRID_ROWS rows, fewer when needed to stay within _GRID_CELLS entries.
+    Yields (slice, phases) per chunk, where phases is the grid factor
+    _em_block takes, built once by _grid_factor.
     """
     if shifts.size == 0:
         return
-    n_max = _cutoff(base, shifts[[0, -1]])         # |Im b + t| peaks at an end
-    rows = max(1, min(_GRID_ROWS, _GRID_CELLS // n_max))
-    log_n = np.log(np.arange(1, n_max, dtype=float))
-    phases = np.exp(-1j * np.outer(np.arange(rows) * step, log_n))
+    phases = _grid_factor(base, shifts, step)
     for lo in range(0, shifts.size, _GRID_ROWS):
         yield slice(lo, min(lo + _GRID_ROWS, shifts.size)), phases
 
@@ -357,15 +366,26 @@ def _z_fast(t_block: np.ndarray):
     return _z_block(t_block, cutoff=max(20, math.ceil(t_block.max() / math.pi)))
 
 
-def _z_scalar_bound_cap(t: np.ndarray) -> np.ndarray:
+def _z_scalar_bound_cap(t: np.ndarray, cutoff: int | None = None) -> np.ndarray:
     """A majorant of the bound _z_block(np.array([t_i])) reports at each t_i:
     _Z_TOL plus twice the noise floor over n < N = max(20, ceil t_i), with
-    1 standing in for |corr| (below 1/2 on the critical line for t >= 14)."""
-    n_t = np.maximum(20, np.ceil(t)).astype(int)
+    1 standing in for |corr| (below 1/2 on the critical line for t >= 14).
+    With N = cutoff instead, it majorizes _z_block's bound at any cutoff up
+    to that for t_i >= 200 (there |corr| < 0.51 while N <= 1e4)."""
+    n_t = np.full(t.shape, cutoff) if cutoff else \
+        np.maximum(20, np.ceil(t)).astype(int)
     n = np.arange(1, n_t.max(), dtype=float)
     w = n ** -0.5
     s0, s1 = np.cumsum(w)[n_t - 2], np.cumsum(w * np.log(n))[n_t - 2]
     return _Z_TOL + 2.0 * _EPS * (s0 + t * s1 + 1.0)
+
+
+def _gated(route, t: np.ndarray, cap: np.ndarray):
+    """route's z on t, its gate = bound + cap, and where |z| > gate: there
+    z has the sign of every value within cap of Z."""
+    z, bound = route(t)
+    gate = bound + cap
+    return z, gate, np.abs(z) > gate
 
 
 # Taylor coefficients of the Riemann-Siegel corrections C_0..C_4 in
@@ -411,6 +431,9 @@ _RS_COEFFS = (
      -0.00022775966758472127),
 )
 _RS_T_MIN = 200.0      # Gabcke's bound on the K = 4 remainder holds from here
+# _RS_COEFFS as Horner steps in x^2 for all k at once, highest power first
+_RS_HORNER = tuple(np.array(coef)[:, None] for coef in
+                   reversed(list(zip_longest(*_RS_COEFFS, fillvalue=0.0))))
 
 
 def _z_rs(t_block: np.ndarray):
@@ -451,8 +474,8 @@ def _z_rs(t_block: np.ndarray):
     u = np.sqrt(_TWO_PI / t)
     x2 = x * x
     c_k = np.zeros((len(_RS_COEFFS), t.size))
-    for coef in reversed(list(zip_longest(*_RS_COEFFS, fillvalue=0.0))):
-        c_k = c_k * x2 + np.array(coef)[:, None]    # Horner in x^2, all k
+    for coef in _RS_HORNER:
+        c_k = c_k * x2 + coef
     c_k[1::2] *= x
     corr = c_k[-1]
     for k in range(len(_RS_COEFFS) - 2, -1, -1):
@@ -486,16 +509,36 @@ def mean_zero_count(t: float) -> float:
 
 def _z_scan(t_max: float, grid: float):
     """Z and its bound on t = grid, 2*grid, ... up to t_max, with t_max
-    appended when it is off the grid; returns (ts, z, bound).  The grid
-    goes through the factored route, an off-grid t_max through the
-    direct one."""
+    appended when it is off the grid; returns (ts, z, bound).
+
+    The grid is cut into chunks of _GRID_ROWS points.  Those that start
+    at _RS_T_MIN or later take _z_rs (_RS_SCAN_BLOCK points a call) and
+    keep it where each point clears the gate of _gated, with the cap at
+    the scan's top cutoff: that majorizes the bound of the grid route and
+    of the direct route in any blocks, so the signs are theirs, and the
+    bound there is the gate.  The other chunks go through the factored
+    grid route, with a factor that has only the columns they need.  An
+    off-grid t_max goes through the direct route.
+    """
     k = int(math.floor(t_max / grid + 1e-9))
     ts = np.arange(1, k + 1, dtype=float) * grid
     if ts.size == 0 or ts[-1] < t_max - 1e-12:
         ts = np.append(ts, t_max)
-    z = np.empty_like(ts)
-    bound = np.empty_like(ts)
-    for sl, phases in _grid_chunks(np.array([0.5]), ts[:k], grid):
+    z, bound = np.empty_like(ts), np.empty_like(ts)
+    base, ok = np.array([0.5]), np.zeros(k, dtype=bool)
+    top = _cutoff(base, ts[-1:])
+    first = _GRID_ROWS * int(np.sum(ts[:k:_GRID_ROWS] < _RS_T_MIN))
+    for lo in range(first, k, _RS_SCAN_BLOCK):
+        sl = slice(lo, min(lo + _RS_SCAN_BLOCK, k))
+        z[sl], bound[sl], ok[sl] = _gated(
+            _z_rs, ts[sl], _z_scalar_bound_cap(ts[sl], top))
+    redo = [lo for lo in range(0, k, _GRID_ROWS)
+            if not ok[lo:lo + _GRID_ROWS].all()]
+    if redo:
+        phases = _grid_factor(base, ts[:k], grid,
+                              _cutoff(base, ts[redo[-1]:k][:_GRID_ROWS]))
+    for lo in redo:
+        sl = slice(lo, min(lo + _GRID_ROWS, k))
         z[sl], bound[sl] = _z_block(ts[sl], phases)
     if ts.size > k:
         z[k:], bound[k:] = _z_block(ts[k:])
@@ -510,11 +553,11 @@ def _bisect(a: np.ndarray, b: np.ndarray, za: np.ndarray):
     _z_rs on all of them at once, then _z_fast in ascending chunks of
     _BISECT_CHUNK, then the scalar route of riemann_siegel_Z, one at a
     time.  A sign from the first two stands only when |Z| > gate = its
-    bound + _z_scalar_bound_cap(t); both bounds cover Z as the scalar
-    route rotates it, so every sign equals the scalar route's, which
-    decides all the rest.  An exact zero closes its bracket.  Returns the
-    centres, the smallest margin (|Z|/gate, or |Z_ref|/B_ref at scalar
-    decisions) and the number of scalar decisions.
+    bound + _z_scalar_bound_cap(t) (_gated); both bounds cover Z as the
+    scalar route rotates it, so every sign equals the scalar route's,
+    which decides all the rest.  An exact zero closes its bracket.
+    Returns the centres, the smallest margin (|Z|/gate, or |Z_ref|/B_ref
+    at scalar decisions) and the number of scalar decisions.
     """
     def fast(m):
         out = np.empty((2, m.size))
@@ -533,9 +576,8 @@ def _bisect(a: np.ndarray, b: np.ndarray, za: np.ndarray):
         for route in (_z_rs, fast):
             if not open_.size:
                 break
-            zm[open_], gate[open_] = route(m[open_])
-            gate[open_] += cap[open_]
-            open_ = open_[~(np.abs(zm[open_]) > gate[open_])]
+            zm[open_], gate[open_], ok = _gated(route, m[open_], cap[open_])
+            open_ = open_[~ok]
         for i in open_:
             zm[i:i + 1], gate[i:i + 1] = _z_block(m[i:i + 1])
         n_ref += open_.size
@@ -554,14 +596,16 @@ def find_zeros(t_max: float, grid: float = 0.05) -> ZeroList:
     """Sign-scan Z on the grid and bisect each sign change until the
     bracket is at most 1e-9 wide; ZeroList.tol reports that bracket width.
 
-    The scan evaluates the evenly spaced grid through one factored grid
-    sum (_grid_chunks); the bisection halves all brackets together and
-    decides each midpoint's sign by the Riemann-Siegel route where its
-    bound certifies it, else by Euler-Maclaurin (see _bisect), so the
-    ordinates equal a scalar bisection's.  ZeroList.min_sign_margin is the
-    smallest |Z|/bound over the scan values at each sign change and over
-    every bisection midpoint.  It is reported, never raised on: a margin
-    below 1 means the last halvings went past what the bounds certify.
+    The scan takes Z from the Riemann-Siegel route from t = 200, chunk by
+    chunk where its gate certifies the signs, and from the factored grid
+    sum (_grid_chunks) elsewhere (see _z_scan); the bisection halves all
+    brackets together and decides each midpoint's sign the same way, else
+    by Euler-Maclaurin (see _bisect), so the ordinates equal a scalar
+    bisection's.  ZeroList.min_sign_margin is the smallest |Z|/bound (the
+    gate where Riemann-Siegel decided) over the scan values at each sign
+    change and over every bisection midpoint.  It is reported, never
+    raised on: a margin below 1 means the last halvings went past what
+    the bounds certify.
 
     The count is checked against the smooth estimate; a mismatch beyond
     +-2 raises MissedZerosError (rerun with a finer grid).
@@ -609,9 +653,10 @@ def pair_correlation(unfolded, max_sep: float, bins: int) -> PairCorrelation:
         raise ValueError(f"max_sep must be positive, got {max_sep}")
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
-    hi = np.searchsorted(x, x + max_sep, side="right")
-    diffs = np.concatenate([x[i + 1: hi[i]] - x[i] for i in range(x.size)]) \
-        if x.size else np.empty(0)
+    # x[i + d] - x[i] for each offset d below span_i, the window from x[i]
+    span = np.searchsorted(x, x + max_sep, side="right") - np.arange(x.size)
+    diffs = np.concatenate([np.empty(0)] + [
+        (x[d:] - x[:-d])[span[:-d] > d] for d in range(1, int(span.max()))])
     counts, edges = np.histogram(diffs, bins=bins, range=(0.0, max_sep))
     total = int(counts.sum())
     if total == 0:

@@ -3,15 +3,18 @@
 This is the original zero finder.  It evaluates the sign scan in blocks of
 4096 grid points through the direct Euler-Maclaurin main sum, then halves
 each sign change on its own with one riemann_siegel_Z call per step.  The
-library evaluates the grid through the factored grid sum and halves all
-brackets together.  It decides each midpoint's sign by two fast routes in
-turn, the Riemann-Siegel formula and then an Euler-Maclaurin sum over
-ascending chunks of midpoints at about a third of this file's cutoff, and
-keeps a sign only when |Z| clears that route's bound plus the scalar
-route's; every other midpoint falls back to this file's scalar
-evaluation, riemann_siegel_Z.  So both routes make the same sign decisions
-at the same midpoints, and tests/test_zetalab.py requires equal ordinates,
-not close ones.  Imported by the tests; it has no script entry.
+library scans by the Riemann-Siegel formula from t = 200 and by the
+factored grid sum below that, and halves all brackets together.  It
+decides each midpoint's sign by two fast routes in turn, the
+Riemann-Siegel formula and then an Euler-Maclaurin sum over ascending
+chunks of midpoints at about a third of this file's cutoff.  A
+Riemann-Siegel or fast sign is kept only when |Z| clears that route's
+bound plus a majorant of the Euler-Maclaurin bound; every other scan
+chunk falls back to the grid sum, and every other midpoint to this
+file's scalar evaluation, riemann_siegel_Z.  So both routes make the
+same sign decisions at the same points, and tests/test_zetalab.py
+requires equal ordinates, not close ones.  Imported by the tests; it has
+no script entry.
 """
 
 import math
@@ -21,16 +24,22 @@ import numpy as np
 from fraczeta.zetalab import _ZERO_TOL, _z_block, riemann_siegel_Z
 
 
-def find_zeros(t_max: float, grid: float = 0.05) -> list:
-    """Sorted zero ordinates of Z on (0, t_max], each bisected to _ZERO_TOL."""
+def direct_scan(t_max: float, grid: float = 0.05):
+    """(ts, z, bound) of Z on the scan grid, t_max appended when off it."""
     k = int(math.floor(t_max / grid + 1e-9))
     ts = np.arange(1, k + 1, dtype=float) * grid
     if ts.size == 0 or ts[-1] < t_max - 1e-12:
         ts = np.append(ts, t_max)
-    z = np.empty_like(ts)
+    z, bound = np.empty_like(ts), np.empty_like(ts)
     block = 4096
     for lo in range(0, ts.size, block):
-        z[lo: lo + block] = _z_block(ts[lo: lo + block])[0]
+        z[lo: lo + block], bound[lo: lo + block] = _z_block(ts[lo: lo + block])
+    return ts, z, bound
+
+
+def find_zeros(t_max: float, grid: float = 0.05) -> list:
+    """Sorted zero ordinates of Z on (0, t_max], each bisected to _ZERO_TOL."""
+    ts, z, _ = direct_scan(t_max, grid)
     ordinates = []
     flips = np.nonzero(np.sign(z[:-1]) * np.sign(z[1:]) < 0)[0]
     for i in flips:

@@ -7,6 +7,7 @@ Reference values were generated once with tests/oracles/zeta_reference.py
 import hashlib
 import importlib.util
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,10 @@ from fraczeta.zetalab import (
     universality_scan,
     zeta,
     _BISECT_CHUNK,
+    _GRID_ROWS,
     _RS_COEFFS,
+    _RS_SCAN_BLOCK,
+    _RS_T_MIN,
     _em_block,
     _grid_chunks,
     _z_block,
@@ -523,6 +527,74 @@ def test_grid_route_scan_off_grid_t_max():
     assert z[-1] == z_last[0] and bound[-1] == bound_last[0]
 
 
+@pytest.fixture(scope="module")
+def scan_600():
+    """_z_scan(600), the grid route's values on the same grid, and the
+    direct route's in bisect_reference's blocks of 4096."""
+    ts, z, bound = _z_scan(600.0, 0.05)      # 600 is on the grid
+    grid = np.empty((2, ts.size))
+    for sl, phases in _grid_chunks(np.array([0.5]), ts, 0.05):
+        grid[:, sl] = _z_block(ts[sl], phases)
+    _, z_dir, b_dir = bisect_reference.direct_scan(600.0)
+    return ts, z, bound, grid, z_dir, b_dir
+
+
+def test_scan_signs_match_direct_route(scan_600):
+    ts, z, _, _, z_dir, _ = scan_600
+    on = ts >= _RS_T_MIN
+    assert np.array_equal(np.sign(z[on]), np.sign(z_dir[on]))
+
+
+def test_scan_rs_points_clear_their_gate(scan_600):
+    # from the first chunk that starts at t >= 200, every point is the
+    # Riemann-Siegel value; its gate covers both Euler-Maclaurin bounds
+    ts, z, bound, grid, _, b_dir = scan_600
+    lo = _GRID_ROWS * math.ceil(np.searchsorted(ts, _RS_T_MIN) / _GRID_ROWS)
+    assert ts[lo - _GRID_ROWS] < _RS_T_MIN <= ts[lo]
+    for blk in range(lo, ts.size, _RS_SCAN_BLOCK):
+        sl = slice(blk, blk + _RS_SCAN_BLOCK)
+        z_rs, b_rs = _z_rs(ts[sl])
+        assert np.array_equal(z[sl], z_rs)
+        assert np.all(np.abs(z[sl]) > bound[sl])
+        assert np.all(bound[sl] - b_rs >= np.maximum(grid[1, sl], b_dir[sl]))
+    assert np.array_equal(z[:lo], grid[0, :lo])
+
+
+def test_scan_chunk_failing_the_gate_takes_the_grid_route(
+        monkeypatch, scan_600):
+    ts, z, bound, grid, _, _ = scan_600
+    ordinates = find_zeros(600.0).ordinates
+    weak = ts[6000]
+    lo = 6000 - 6000 % _GRID_ROWS
+    chunk = slice(lo, lo + _GRID_ROWS)      # the chunk that holds it
+
+    def rs_weak_at_one_point(t_block):
+        z_rs, b_rs = _z_rs(t_block)
+        return z_rs, np.where(t_block == weak, np.inf, b_rs)
+
+    monkeypatch.setattr("fraczeta.zetalab._z_rs", rs_weak_at_one_point)
+    _, z2, bound2 = _z_scan(600.0, 0.05)
+    assert np.array_equal(z2[chunk], grid[0, chunk])
+    assert np.array_equal(bound2[chunk], grid[1, chunk])
+    rest = np.ones(ts.size, dtype=bool)
+    rest[chunk] = False
+    assert np.array_equal(z2[rest], z[rest])
+    assert np.array_equal(bound2[rest], bound[rest])
+    assert find_zeros(600.0).ordinates == ordinates
+
+
+def test_find_zeros_peak_memory():
+    # the scan builds its grid factor only for the chunks below t = 200,
+    # 512 x 204 entries at T = 1419.5 where the whole grid needs 512 x 1419
+    tracemalloc.start()
+    try:
+        find_zeros(1419.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 def test_thousandth_zero(zeros_1000):
     assert len(zeros_1000.ordinates) == 1000
     assert abs(zeros_1000.ordinates[-1] - ZERO_1000) < 1e-6
@@ -571,6 +643,24 @@ def test_pair_correlation_normalization(zeros_1000):
     width = pc.bin_edges[1:] - pc.bin_edges[:-1]
     mass = float(np.sum(pc.empirical * width)) * pc.n_positions
     assert abs(mass - pc.pair_count) < 1e-9 * pc.pair_count
+
+
+def _pair_counts_by_position(x, max_sep, bins):
+    """Histogram counts of the separations, built position by position."""
+    x = np.sort(x)
+    hi = np.searchsorted(x, x + max_sep, side="right")
+    diffs = np.concatenate([x[i + 1: hi[i]] - x[i] for i in range(x.size)])
+    return np.histogram(diffs, bins=bins, range=(0.0, max_sep))[0]
+
+
+@pytest.mark.parametrize("source", ["zeros", "gue"])
+def test_pair_correlation_matches_position_loop(zeros_1000, source):
+    x = unfold(zeros_1000) if source == "zeros" else gue_sample(200, 20, 4242)
+    pc = pair_correlation(x, max_sep=3.0, bins=30)
+    counts = _pair_counts_by_position(x, 3.0, 30)
+    width = pc.bin_edges[1:] - pc.bin_edges[:-1]
+    assert pc.pair_count == counts.sum()
+    assert np.array_equal(pc.empirical, counts / (x.size * width))
 
 
 def test_pair_correlation_validation():
