@@ -675,24 +675,25 @@ def pair_correlation(unfolded, max_sep: float, bins: int) -> PairCorrelation:
 
 
 def gue_eigenvalues(dim: int, seed) -> np.ndarray:
-    """Eigenvalues of one GUE draw: real N(0,1) diagonal, (x+iy)/sqrt(2)
-    above it; semicircle support radius 2 sqrt(dim)."""
+    """Eigenvalues of one GUE draw by the beta = 2 Hermite tridiagonal model
+    (Dumitriu & Edelman, J. Math. Phys. 43 (2002) 5830-5847): N(0,1) diagonal,
+    off-diagonal sqrt(chi2_2k / 2), k = dim-1..1, as Householder reduces the
+    dense GUE (N(0,1) diagonal, (x+iy)/sqrt(2) above): same law and radius
+    2 sqrt(dim).  LAPACK runs dense on it, O(dim^3) time, O(dim^2) memory;
+    importing scipy's O(dim^2) banded solver costs more than it saves."""
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((dim, dim))
-    y = rng.standard_normal((dim, dim))
-    off = (np.triu(x, 1) + 1j * np.triu(y, 1)) / math.sqrt(2.0)
-    h = off + off.conj().T + np.diag(np.diag(x))
+    h = np.diag(rng.standard_normal(dim))
+    e = np.sqrt(rng.chisquare(2.0 * np.arange(dim - 1, 0, -1)) / 2.0)
+    h.flat[1::dim + 1] = h.flat[dim::dim + 1] = e
     return np.linalg.eigvalsh(h)
 
 
 def gue_sample(dim: int, trials: int, seed: int) -> np.ndarray:
-    """Unfolded central-bulk GUE eigenvalue positions, trials concatenated.
-
-    Each trial is unfolded by the integrated semicircle density
-    F(x) = 1/2 + x sqrt(R^2-x^2)/(pi R^2) + asin(x/R)/pi, R = 2 sqrt(dim),
-    scaled by dim, and shifted by trial_index*dim so that cross-trial
-    separations exceed any reasonable max_sep (each bulk spans ~dim/2).
-    Deterministic per seed.
+    """Unfolded central-bulk GUE eigenvalue positions, trials concatenated:
+    each trial, one gue_eigenvalues draw (O(dim^3) time, O(dim^2) memory),
+    is unfolded by F(x) = 1/2 + x sqrt(R^2-x^2)/(pi R^2) + asin(x/R)/pi,
+    R = 2 sqrt(dim), times dim; its middle half is shifted by trial_index*dim,
+    ~dim/2 clear of other trials for any max_sep.  Deterministic per seed.
     """
     if dim < 20:
         raise ValueError(f"dim must be >= 20, got {dim}")
@@ -702,8 +703,7 @@ def gue_sample(dim: int, trials: int, seed: int) -> np.ndarray:
     lo, hi = dim // 4, dim - dim // 4
     out = []
     for k, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
-        lam = gue_eigenvalues(dim, child)
-        lam = np.clip(lam, -radius, radius)
+        lam = np.clip(gue_eigenvalues(dim, child), -radius, radius)
         f = (0.5 + lam * np.sqrt(radius ** 2 - lam ** 2) / (math.pi * radius ** 2)
              + np.arcsin(lam / radius) / math.pi)
         out.append(dim * f[lo:hi] + k * float(dim))

@@ -663,11 +663,11 @@ PINNED = {
         "6dda376f8340839fe221ab2a9201c1e696b50efcefb46a05e5bb57c56c73707c",
         "c3f6186fd987e6f01e94f1cd7873986f63c57af243986b2b0c313fd94bec89c3"),
     "zeta paircorr --source gue --dim 40 --trials 5 --seed 7 --bins 10": (
-        "e91c5b2d719b798709428d607e379d9eb8b7fe0fd8d458e074cb5fec05d305f4",
-        "16d835410f7c420042f2d8712a936c1ccb972f0c58caf8c1bd4bdc621d7a611b"),
+        "e9343042007e65a42fa020a9756533e6da29a55c97d6cfcd59bde7adddcd62a2",
+        "6f70bb81b9eed40d2a3a8e659ca2eb77a13a144d5d1bce40c90e027a793a8a53"),
     "zeta gue --dim 20 --trials 2 --seed 2": (
-        "8111a1e3193434f2c89119d89a86fb22b2c290f8bc1cabe4f0081dbbed8dd721",
-        "8b3b73d6b55dfbd2e311570d9c9e89c014d9061523f8f53ec67f5bb7f6d2570e"),
+        "3900cb9ccbd3ff269db3059eac2cf8f2a559ee9b377462edbc473a10dd2a8406",
+        "ed92c7ad35a62ef8a63765fcbdef73103272d4dba54bc054fe1f2358637faa1b"),
     "zeta universality --tmax 5 --tstep 0.5": (
         "9e0f4cd6290f1d463608fce5bb43dd0b01106234fa17d00762bde0dbcd6658c0",
         "1a17816baf1eee80ab851e2b76e7e1de1de26b3f70e6ae2f3657dac359abdcbb"),

@@ -7,12 +7,16 @@ Reference values were generated once with tests/oracles/zeta_reference.py
 import hashlib
 import importlib.util
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fraczeta import zetalab
 from fraczeta.zetalab import (
     Disc,
     MissedZerosError,
@@ -87,6 +91,8 @@ def _load_oracle(name):
 
 
 bisect_reference = _load_oracle("bisect_reference")
+gue_dense = _load_oracle("gue_dense")
+siegelz_reference = _load_oracle("siegelz_reference")
 
 
 @pytest.fixture(scope="module")
@@ -392,10 +398,7 @@ def rs_and_scalar():
     """400 seeded ordinates log-uniform in [200, 1e4] and 100 uniform in
     [200, 260], where Gabcke's term is most of the bound, through _z_rs
     and through the scalar route one at a time."""
-    rng = np.random.default_rng(2029)
-    ts = np.sort(np.concatenate([
-        np.exp(rng.uniform(math.log(200.0), math.log(1.0e4), 400)),
-        rng.uniform(200.0, 260.0, 100)]))
+    ts = siegelz_reference.ordinates()
     z_rs, b_rs = _z_rs(ts)
     scalar = np.array([_z_block(ts[i:i + 1]) for i in range(ts.size)])[:, :, 0]
     return ts, z_rs, b_rs, scalar[:, 0]
@@ -407,11 +410,16 @@ def test_rs_sign_gate_is_sound(rs_and_scalar):
 
 
 def test_rs_bound_covers_mpmath(rs_and_scalar):
-    mpmath = pytest.importorskip("mpmath")
+    # mpmath.siegelz at 25 digits, frozen by tests/oracles/siegelz_reference.py;
+    # eight seeded entries are recomputed live against the table
+    pytest.importorskip("mpmath")
     ts, z_rs, b_rs, _ = rs_and_scalar
-    with mpmath.workdps(25):
-        ref = np.array([float(mpmath.siegelz(mpmath.mpf(float(t))))
-                        for t in ts])
+    table_t, ref = np.loadtxt(
+        Path(__file__).parent / "oracles" / "siegelz_table.txt", unpack=True)
+    assert np.array_equal(table_t, ts)
+    live = np.random.default_rng(77).choice(ts.size, 8, replace=False)
+    assert np.allclose(siegelz_reference.siegelz(ts[live]), ref[live],
+                       rtol=4.0 * np.finfo(float).eps, atol=1e-15)
     assert np.all(np.abs(z_rs - ref) <= b_rs)
 
 
@@ -705,6 +713,51 @@ def test_gue_sample_validation():
         gue_sample(10, 5, seed=0)
     with pytest.raises(ValueError):
         gue_sample(50, 0, seed=0)
+
+
+def _gue_law_batches(route):
+    """Per seed 1000..1009, gue_sample(200, 20, seed) drawn through route:
+    the bulk spacings' mean and variance, then the pair-correlation
+    histogram (10 bins to separation 3)."""
+    rows = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zetalab, "gue_eigenvalues", route)
+        for seed in range(1000, 1010):
+            x = gue_sample(200, 20, seed)
+            gaps = np.diff(x.reshape(20, -1))
+            pc = pair_correlation(x, max_sep=3.0, bins=10)
+            rows.append([gaps.mean(), gaps.var(), *pc.empirical])
+    return np.array(rows)
+
+
+def test_gue_tridiagonal_matches_dense_in_law():
+    # 19,800 gaps a route; each statistic's standard error is estimated
+    # from its spread over the ten seeds, which carries the correlations
+    # between spacings and between pairs that share a position
+    tri = _gue_law_batches(gue_eigenvalues)
+    dense = _gue_law_batches(gue_dense.gue_eigenvalues)
+    se = np.hypot(tri.std(axis=0, ddof=1),
+                  dense.std(axis=0, ddof=1)) / math.sqrt(len(tri))
+    assert np.all(np.abs(tri.mean(axis=0) - dense.mean(axis=0)) <= 4.0 * se)
+
+
+_GUE_HASH = ("import hashlib; from fraczeta.zetalab import gue_sample; "
+             "print(hashlib.sha256(gue_sample(200, 20, 12345).tobytes())"
+             ".hexdigest())")
+
+
+def test_gue_sample_bits_do_not_depend_on_blas_threads():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", _GUE_HASH], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 # --- spectral functions --------------------------------------------------------------
