@@ -8,6 +8,7 @@ rescaling of impedance and frequency that makes the reported parameters
 equivariant under unit changes.
 """
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -32,6 +33,8 @@ class Spectrum:
             raise ValueError("omegas must be positive and finite")
         if any(b <= a for a, b in zip(w, w[1:])):
             raise ValueError("omegas must be strictly increasing")
+        if any(not cmath.isfinite(p[1]) for p in self.points):
+            raise ValueError("impedances must be finite")
 
     def omegas(self) -> np.ndarray:
         return np.array([p[0] for p in self.points])
@@ -106,8 +109,8 @@ def synth_spectrum(model: ColeColeModel, omegas, noise_rel: float,
                    seed: int) -> Spectrum:
     """Model values plus independent Gaussian noise of scale
     noise_rel*|z| on the real and imaginary parts; deterministic per seed."""
-    if noise_rel < 0.0:
-        raise ValueError(f"noise_rel must be >= 0, got {noise_rel}")
+    if not (noise_rel >= 0.0 and math.isfinite(noise_rel)):
+        raise ValueError(f"noise_rel must be finite and >= 0, got {noise_rel}")
     w = np.sort(np.asarray(omegas, dtype=float).ravel())
     z = cole_cole_impedance(model, w)
     if noise_rel > 0.0:

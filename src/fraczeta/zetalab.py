@@ -10,8 +10,8 @@ with the classical remainder bound |R| <= |(s+2M+1)/(sigma+2M+1)| times
 the first omitted term; every value carries that bound.  On the
 critical line the Riemann-Siegel rotation Z(t) = exp(i theta(t))
 zeta(1/2+it) is real, and its sign changes localize the zeros; the
-zero bisection decides most signs by the Riemann-Siegel formula, O(sqrt t)
-terms, where Gabcke's remainder bound certifies them.  Zero
+zero scan and bisection decide most signs by the Riemann-Siegel formula,
+O(sqrt t) terms, where Gabcke's remainder bound certifies them.  Zero
 lists are unfolded by the smooth counting function
 
     Nbar(T) = (T/2pi) log(T/2pi) - T/2pi + 7/8
@@ -43,8 +43,8 @@ _M_CAP = 60
 _ZERO_TOL = 1e-9      # bracket width find_zeros bisects to and reports
 _GRID_ROWS = 512      # shifts per grid chunk; a chunk shares one cutoff N
 _GRID_CELLS = 2 ** 21  # complex entries of the grid factor, 32 MB
-_BISECT_CHUNK = 128   # midpoints per _z_fast call; each chunk gets its own N
-_RS_SCAN_BLOCK = 4096  # scan points per _z_rs call; 1.3 MB arrays at t = 1e4
+_BISECT_CHUNK = 128   # points per _z_fast call; each chunk gets its own N
+_RS_SCAN_BLOCK = 4096  # points per _z_rs call; 1.3 MB arrays at t = 1e4
 _Z_TOL = 1e-12        # Bernoulli-tail tolerance of every Z evaluation
 
 # B_{2k}/(2k)! for k = 0..cap+1, the only Bernoulli data the tail needs:
@@ -103,11 +103,11 @@ class ZetaPoint:
 class ZeroList:
     """Ordinates t with zeta(1/2+it) = 0, localized to bracket width tol.
 
-    min_sign_margin is the smallest |Z|/bound over the sign decisions that
-    placed the zeros: |Z|/gate at the Riemann-Siegel decisions of the scan
-    and of _bisect and at _bisect's fast ones, |Z|/bound at the scan's grid
-    values, |Z_ref|/B_ref at _bisect's scalar decisions (reference_decisions
-    counts those); below 1, one was not certified.
+    min_sign_margin is the smallest |Z|/gate over the sign decisions that
+    placed the zeros, where the gate is the deciding route's bound, plus
+    the scalar-bound majorant where a fast route decided (see
+    _certified_z); below 1, one was not certified.  reference_decisions
+    counts the signs the scalar route decided, scan points included.
     """
 
     ordinates: tuple
@@ -228,28 +228,21 @@ def _em_block(base: np.ndarray, shifts: np.ndarray, tol: float,
     return main + corr, bound + 2.0 * noise
 
 
-def _grid_factor(base: np.ndarray, shifts: np.ndarray, step: float,
-                 cutoff: int | None = None) -> np.ndarray:
-    """The grid factor phases[k, n-1] = exp(-i k step log n) for n < cutoff
-    (default the largest cutoff on the grid shifts), with at most
-    _GRID_ROWS rows, fewer when needed to stay within _GRID_CELLS entries
-    at that largest cutoff."""
-    n_max = _cutoff(base, shifts[[0, -1]])         # |Im b + t| peaks at an end
-    rows = max(1, min(_GRID_ROWS, _GRID_CELLS // n_max))
-    log_n = np.log(np.arange(1, cutoff or n_max, dtype=float))
-    return np.exp(-1j * np.outer(np.arange(rows) * step, log_n))
-
-
 def _grid_chunks(base: np.ndarray, shifts: np.ndarray, step: float):
     """Split the ascending grid shifts[k] = shifts[0] + k*step into chunks
     of _GRID_ROWS shifts, each to share one cutoff in _em_block.
 
-    Yields (slice, phases) per chunk, where phases is the grid factor
-    _em_block takes, built once by _grid_factor.
+    Yields (slice, phases) per chunk, where phases[k, n-1] =
+    exp(-i k step log n) is the grid factor _em_block takes.  It is built
+    once, with columns for the largest cutoff on the grid and at most
+    _GRID_ROWS rows, fewer when needed to stay within _GRID_CELLS entries.
     """
     if shifts.size == 0:
         return
-    phases = _grid_factor(base, shifts, step)
+    n_max = _cutoff(base, shifts[[0, -1]])         # |Im b + t| peaks at an end
+    rows = max(1, min(_GRID_ROWS, _GRID_CELLS // n_max))
+    log_n = np.log(np.arange(1, n_max, dtype=float))
+    phases = np.exp(-1j * np.outer(np.arange(rows) * step, log_n))
     for lo in range(0, shifts.size, _GRID_ROWS):
         yield slice(lo, min(lo + _GRID_ROWS, shifts.size)), phases
 
@@ -366,26 +359,15 @@ def _z_fast(t_block: np.ndarray):
     return _z_block(t_block, cutoff=max(20, math.ceil(t_block.max() / math.pi)))
 
 
-def _z_scalar_bound_cap(t: np.ndarray, cutoff: int | None = None) -> np.ndarray:
+def _z_scalar_bound_cap(t: np.ndarray) -> np.ndarray:
     """A majorant of the bound _z_block(np.array([t_i])) reports at each t_i:
     _Z_TOL plus twice the noise floor over n < N = max(20, ceil t_i), with
-    1 standing in for |corr| (below 1/2 on the critical line for t >= 14).
-    With N = cutoff instead, it majorizes _z_block's bound at any cutoff up
-    to that for t_i >= 200 (there |corr| < 0.51 while N <= 1e4)."""
-    n_t = np.full(t.shape, cutoff) if cutoff else \
-        np.maximum(20, np.ceil(t)).astype(int)
-    n = np.arange(1, n_t.max(), dtype=float)
+    1 standing in for |corr| (below 1/2 on the critical line for t >= 14)."""
+    n_t = np.maximum(20, np.ceil(t)).astype(int)
+    n = np.arange(1, n_t.max(initial=20), dtype=float)
     w = n ** -0.5
     s0, s1 = np.cumsum(w)[n_t - 2], np.cumsum(w * np.log(n))[n_t - 2]
     return _Z_TOL + 2.0 * _EPS * (s0 + t * s1 + 1.0)
-
-
-def _gated(route, t: np.ndarray, cap: np.ndarray):
-    """route's z on t, its gate = bound + cap, and where |z| > gate: there
-    z has the sign of every value within cap of Z."""
-    z, bound = route(t)
-    gate = bound + cap
-    return z, gate, np.abs(z) > gate
 
 
 # Taylor coefficients of the Riemann-Siegel corrections C_0..C_4 in
@@ -507,80 +489,67 @@ def mean_zero_count(t: float) -> float:
     return x * math.log(x) - x + 0.875
 
 
+def _certified_z(t: np.ndarray):
+    """Z on an ascending array of positive ordinates, each sign equal to the
+    scalar route's (riemann_siegel_Z); returns (z, gate, n_scalar).
+
+    Two fast routes are tried in turn, each on the points the one before
+    left open: _z_rs in blocks of _RS_SCAN_BLOCK, then _z_fast in chunks
+    of _BISECT_CHUNK.  A value stands only where |z| > gate = its bound +
+    _z_scalar_bound_cap(t): both bounds cover Z as the scalar route
+    rotates it, so its sign is the scalar route's.  The scalar route
+    decides the other n_scalar points one at a time; gate is its bound.
+    """
+    z, gate = np.empty_like(t), np.empty_like(t)
+    cap = _z_scalar_bound_cap(t)
+    open_ = np.arange(t.size)
+    for route, size in ((_z_rs, _RS_SCAN_BLOCK), (_z_fast, _BISECT_CHUNK)):
+        for lo in range(0, open_.size, size):
+            i = open_[lo:lo + size]
+            z[i], bound = route(t[i])
+            gate[i] = bound + cap[i]
+        open_ = open_[np.abs(z[open_]) <= gate[open_]]
+    for i in open_:
+        z[i:i + 1], gate[i:i + 1] = _z_block(t[i:i + 1])
+    return z, gate, open_.size
+
+
 def _z_scan(t_max: float, grid: float):
-    """Z and its bound on t = grid, 2*grid, ... up to t_max, with t_max
-    appended when it is off the grid; returns (ts, z, bound).
+    """Z on t = grid, 2*grid, ... up to t_max, with t_max appended when it
+    is off the grid; returns (ts, z, gate, n_scalar).
 
     The grid is cut into chunks of _GRID_ROWS points.  Those that start
-    at _RS_T_MIN or later take _z_rs (_RS_SCAN_BLOCK points a call) and
-    keep it where each point clears the gate of _gated, with the cap at
-    the scan's top cutoff: that majorizes the bound of the grid route and
-    of the direct route in any blocks, so the signs are theirs, and the
-    bound there is the gate.  The other chunks go through the factored
-    grid route, with a factor that has only the columns they need.  An
-    off-grid t_max goes through the direct route.
+    below _RS_T_MIN go through the factored grid route, whose factor has
+    only the columns they need; there gate is the route's bound.  Every
+    later point, an off-grid t_max included, goes through _certified_z.
     """
     k = int(math.floor(t_max / grid + 1e-9))
     ts = np.arange(1, k + 1, dtype=float) * grid
     if ts.size == 0 or ts[-1] < t_max - 1e-12:
         ts = np.append(ts, t_max)
-    z, bound = np.empty_like(ts), np.empty_like(ts)
-    base, ok = np.array([0.5]), np.zeros(k, dtype=bool)
-    top = _cutoff(base, ts[-1:])
-    first = _GRID_ROWS * int(np.sum(ts[:k:_GRID_ROWS] < _RS_T_MIN))
-    for lo in range(first, k, _RS_SCAN_BLOCK):
-        sl = slice(lo, min(lo + _RS_SCAN_BLOCK, k))
-        z[sl], bound[sl], ok[sl] = _gated(
-            _z_rs, ts[sl], _z_scalar_bound_cap(ts[sl], top))
-    redo = [lo for lo in range(0, k, _GRID_ROWS)
-            if not ok[lo:lo + _GRID_ROWS].all()]
-    if redo:
-        phases = _grid_factor(base, ts[:k], grid,
-                              _cutoff(base, ts[redo[-1]:k][:_GRID_ROWS]))
-    for lo in redo:
-        sl = slice(lo, min(lo + _GRID_ROWS, k))
-        z[sl], bound[sl] = _z_block(ts[sl], phases)
-    if ts.size > k:
-        z[k:], bound[k:] = _z_block(ts[k:])
-    return ts, z, bound
+    z, gate = np.empty_like(ts), np.empty_like(ts)
+    first = min(k, _GRID_ROWS * int(np.sum(ts[:k:_GRID_ROWS] < _RS_T_MIN)))
+    for sl, phases in _grid_chunks(np.array([0.5]), ts[:first], grid):
+        z[sl], gate[sl] = _z_block(ts[sl], phases)
+    z[first:], gate[first:], n_scalar = _certified_z(ts[first:])
+    return ts, z, gate, n_scalar
 
 
 def _bisect(a: np.ndarray, b: np.ndarray, za: np.ndarray):
     """Halve every bracket [a_i, b_i], Z(a_i) = za_i, until b - a <= _ZERO_TOL.
 
-    Each sweep decides the signs of all live midpoints by a list of routes
-    tried in order, each on the midpoints the ones before it left open:
-    _z_rs on all of them at once, then _z_fast in ascending chunks of
-    _BISECT_CHUNK, then the scalar route of riemann_siegel_Z, one at a
-    time.  A sign from the first two stands only when |Z| > gate = its
-    bound + _z_scalar_bound_cap(t) (_gated); both bounds cover Z as the
-    scalar route rotates it, so every sign equals the scalar route's,
-    which decides all the rest.  An exact zero closes its bracket.
-    Returns the centres, the smallest margin (|Z|/gate, or |Z_ref|/B_ref
-    at scalar decisions) and the number of scalar decisions.
+    Each sweep decides the signs of all live midpoints by one
+    _certified_z call, so every sign equals the scalar route's.  An exact
+    zero closes its bracket.  Returns the centres, the smallest |Z|/gate
+    and the number of scalar decisions.
     """
-    def fast(m):
-        out = np.empty((2, m.size))
-        for lo in range(0, m.size, _BISECT_CHUNK):
-            out[:, lo:lo + _BISECT_CHUNK] = _z_fast(m[lo:lo + _BISECT_CHUNK])
-        return out
-
     a, b, za = a.copy(), b.copy(), za.copy()
     margin, n_ref = math.inf, 0
     live = np.nonzero(b - a > _ZERO_TOL)[0]
     while live.size:
         m = 0.5 * (a[live] + b[live])
-        cap = _z_scalar_bound_cap(m)
-        zm, gate = np.empty_like(m), np.empty_like(m)
-        open_ = np.arange(m.size)
-        for route in (_z_rs, fast):
-            if not open_.size:
-                break
-            zm[open_], gate[open_], ok = _gated(route, m[open_], cap[open_])
-            open_ = open_[~ok]
-        for i in open_:
-            zm[i:i + 1], gate[i:i + 1] = _z_block(m[i:i + 1])
-        n_ref += open_.size
+        zm, gate, n_scalar = _certified_z(m)
+        n_ref += n_scalar
         margin = min(margin, float(np.min(np.abs(zm) / gate)))
         hit = zm == 0.0
         left = ~hit & ((za[live] < 0.0) == (zm < 0.0))
@@ -596,16 +565,16 @@ def find_zeros(t_max: float, grid: float = 0.05) -> ZeroList:
     """Sign-scan Z on the grid and bisect each sign change until the
     bracket is at most 1e-9 wide; ZeroList.tol reports that bracket width.
 
-    The scan takes Z from the Riemann-Siegel route from t = 200, chunk by
-    chunk where its gate certifies the signs, and from the factored grid
-    sum (_grid_chunks) elsewhere (see _z_scan); the bisection halves all
-    brackets together and decides each midpoint's sign the same way, else
-    by Euler-Maclaurin (see _bisect), so the ordinates equal a scalar
-    bisection's.  ZeroList.min_sign_margin is the smallest |Z|/bound (the
-    gate where Riemann-Siegel decided) over the scan values at each sign
-    change and over every bisection midpoint.  It is reported, never
-    raised on: a margin below 1 means the last halvings went past what
-    the bounds certify.
+    In the grid chunks that start below t = 200 the scan takes Z from the
+    factored grid sum (_grid_chunks).  Every later scan point, and every
+    bisection midpoint, goes through one chain, _certified_z:
+    Riemann-Siegel, then a t/pi-cutoff Euler-Maclaurin sum, each kept only
+    where it certifies the sign, then the scalar route.  The bisection
+    halves all brackets together, and the ordinates equal a scalar
+    bisection's.  ZeroList.min_sign_margin is the smallest |Z|/gate over
+    the scan values at each sign change and over every bisection
+    midpoint.  It is reported, never raised on: a margin below 1 means
+    the last halvings went past what the bounds certify.
 
     The count is checked against the smooth estimate; a mismatch beyond
     +-2 raises MissedZerosError (rerun with a finer grid).
@@ -614,13 +583,13 @@ def find_zeros(t_max: float, grid: float = 0.05) -> ZeroList:
         raise ValueError(f"t_max must be in (0, {_T_CEIL:g}], got {t_max}")
     if not (0.0 < grid <= 0.1):
         raise ValueError(f"grid must be in (0, 0.1], got {grid}")
-    ts, z, bound = _z_scan(t_max, grid)
+    ts, z, gate, n_scan = _z_scan(t_max, grid)
     flips = np.nonzero(np.sign(z[:-1]) * np.sign(z[1:]) < 0)[0]
     exact_hits = np.nonzero(z == 0.0)[0]
     centres, margin, n_ref = _bisect(ts[flips], ts[flips + 1], z[flips])
     decided = np.concatenate([flips, flips + 1, exact_hits])
     if decided.size:
-        margin = min(margin, float(np.min(np.abs(z[decided]) / bound[decided])))
+        margin = min(margin, float(np.min(np.abs(z[decided]) / gate[decided])))
     ordinates = sorted(centres.tolist() + ts[exact_hits].tolist())
     expected = mean_zero_count(t_max)
     if abs(len(ordinates) - expected) > 2.0:
@@ -629,7 +598,7 @@ def find_zeros(t_max: float, grid: float = 0.05) -> ZeroList:
             f"gives {expected:.2f}; rerun with a finer grid than {grid}")
     return ZeroList(ordinates=tuple(ordinates), tol=_ZERO_TOL,
                     t_max=float(t_max), min_sign_margin=margin,
-                    reference_decisions=n_ref)
+                    reference_decisions=n_scan + n_ref)
 
 
 def unfold(zeros: ZeroList) -> np.ndarray:

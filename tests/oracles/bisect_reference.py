@@ -3,15 +3,14 @@
 This is the original zero finder.  It evaluates the sign scan in blocks of
 4096 grid points through the direct Euler-Maclaurin main sum, then halves
 each sign change on its own with one riemann_siegel_Z call per step.  The
-library scans by the Riemann-Siegel formula from t = 200 and by the
-factored grid sum below that, and halves all brackets together.  It
-decides each midpoint's sign by two fast routes in turn, the
-Riemann-Siegel formula and then an Euler-Maclaurin sum over ascending
-chunks of midpoints at about a third of this file's cutoff.  A
-Riemann-Siegel or fast sign is kept only when |Z| clears that route's
-bound plus a majorant of the Euler-Maclaurin bound; every other scan
-chunk falls back to the grid sum, and every other midpoint to this
-file's scalar evaluation, riemann_siegel_Z.  So both routes make the
+library scans by the factored grid sum in the grid chunks that start
+below t = 200, and halves all brackets together.  Every later scan point
+and every midpoint goes through one chain of routes: the Riemann-Siegel
+formula, then an Euler-Maclaurin sum over ascending chunks of points at
+about a third of this file's cutoff.  A sign from either is kept only
+when |Z| clears that route's bound plus a majorant of the scalar
+Euler-Maclaurin bound; every other point is decided by this file's
+scalar evaluation, riemann_siegel_Z.  So both routes make the
 same sign decisions at the same points, and tests/test_zetalab.py
 requires equal ordinates, not close ones.  Imported by the tests; it has
 no script entry.

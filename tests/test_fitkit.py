@@ -37,6 +37,16 @@ def test_spectrum_validation():
                   per_param_uncertainty={})
 
 
+def test_spectrum_rejects_non_finite_impedance(tmp_path):
+    for bad in (complex(math.nan, -10.0), complex(1.0, math.inf)):
+        with pytest.raises(ValueError, match="impedances must be finite"):
+            Spectrum(points=((1.0, 1 + 0j), (2.0, bad)))
+    p = tmp_path / "nan.csv"
+    p.write_text("freq_hz,re_z_ohm,im_z_ohm\n10.0,55.0,-12.0\n1000,nan,-10\n")
+    with pytest.raises(ValueError, match="impedances must be finite"):
+        load_spectrum(p)
+
+
 # --- file I/O -------------------------------------------------------------------
 
 
@@ -100,6 +110,12 @@ def test_synth_deterministic():
     assert not np.array_equal(a.z(), c.z())
     with pytest.raises(ValueError):
         synth_spectrum(TRUTH, OMEGAS, -0.1, seed=0)
+
+
+@pytest.mark.parametrize("noise_rel", [math.nan, math.inf])
+def test_synth_rejects_non_finite_noise(noise_rel):
+    with pytest.raises(ValueError, match="noise_rel must be finite"):
+        synth_spectrum(TRUTH, OMEGAS, noise_rel, seed=0)
 
 
 def test_synth_noise_scale():

@@ -43,6 +43,7 @@ from fraczeta.zetalab import (
     _RS_COEFFS,
     _RS_SCAN_BLOCK,
     _RS_T_MIN,
+    _certified_z,
     _em_block,
     _grid_chunks,
     _z_block,
@@ -336,7 +337,10 @@ def test_zero_tol_is_the_bracket_width(zeros_1000):
         assert riemann_siegel_Z(t - tol) * riemann_siegel_Z(t + tol) < 0.0
 
 
-@pytest.mark.parametrize("t_max", [200.0, 100.03])
+# 200.0 leaves _certified_z no scan point, 204.8 ends the grid chunks
+# that start below t = 200 at the last grid point, and 204.85 puts the
+# off-grid end right after them
+@pytest.mark.parametrize("t_max", [200.0, 100.03, 204.8, 204.85])
 def test_find_zeros_matches_scalar_bisection(t_max):
     got = find_zeros(t_max).ordinates
     assert np.array_equal(got, bisect_reference.find_zeros(t_max))
@@ -485,9 +489,11 @@ def test_reference_route_alone_matches_scalar_bisection(
     monkeypatch.setattr("fraczeta.zetalab._z_block", spy)
     zl = find_zeros(300.0)
     assert np.array_equal(zl.ordinates, zeros_300_reference)
-    # every 0.05 bracket takes 26 halvings to reach 1e-9, each decided
-    # by the scalar route at its default cutoff
-    assert zl.reference_decisions == 26 * len(zl.ordinates)
+    # the scalar route decides, at its default cutoff, the 1,904 scan
+    # points past the 8 grid chunks that start below t = 200, and each of
+    # the 26 halvings that take every 0.05 bracket to 1e-9
+    scan_points = 6000 - 8 * _GRID_ROWS
+    assert zl.reference_decisions == scan_points + 26 * len(zl.ordinates)
     assert direct_calls == [(1, None)] * zl.reference_decisions
     assert math.isfinite(zl.min_sign_margin)
 
@@ -525,69 +531,72 @@ def test_grid_route_off_axis_disc():
 
 
 def test_grid_route_scan_off_grid_t_max():
-    ts, z, bound = _z_scan(100.03, 0.05)
+    ts, z, gate, _ = _z_scan(100.03, 0.05)
     assert ts.size == 2001 and ts[-1] == 100.03
     for sl, _ in _grid_chunks(np.array([0.5]), ts[:-1], 0.05):
         z_direct, bound_direct = _z_block(ts[sl])
-        _assert_each_within_the_others_err(z[sl], bound[sl],
+        _assert_each_within_the_others_err(z[sl], gate[sl],
                                            z_direct, bound_direct)
-    z_last, bound_last = _z_block(ts[-1:])      # the off-grid end goes direct
-    assert z[-1] == z_last[0] and bound[-1] == bound_last[0]
+    # the off-grid end goes through the certified chain, with the scalar sign
+    z_last, gate_last, _ = _certified_z(ts[-1:])
+    assert z[-1] == z_last[0] and gate[-1] == gate_last[0]
+    assert np.sign(z[-1]) == np.sign(_z_block(ts[-1:])[0][0])
 
 
 @pytest.fixture(scope="module")
 def scan_600():
     """_z_scan(600), the grid route's values on the same grid, and the
     direct route's in bisect_reference's blocks of 4096."""
-    ts, z, bound = _z_scan(600.0, 0.05)      # 600 is on the grid
+    ts, z, gate, n_scalar = _z_scan(600.0, 0.05)      # 600 is on the grid
+    assert n_scalar == 0
     grid = np.empty((2, ts.size))
     for sl, phases in _grid_chunks(np.array([0.5]), ts, 0.05):
         grid[:, sl] = _z_block(ts[sl], phases)
     _, z_dir, b_dir = bisect_reference.direct_scan(600.0)
-    return ts, z, bound, grid, z_dir, b_dir
+    return ts, z, gate, grid, z_dir, b_dir
 
 
 def test_scan_signs_match_direct_route(scan_600):
     ts, z, _, _, z_dir, _ = scan_600
-    on = ts >= _RS_T_MIN
-    assert np.array_equal(np.sign(z[on]), np.sign(z_dir[on]))
+    assert np.array_equal(np.sign(z), np.sign(z_dir))
 
 
 def test_scan_rs_points_clear_their_gate(scan_600):
     # from the first chunk that starts at t >= 200, every point is the
-    # Riemann-Siegel value; its gate covers both Euler-Maclaurin bounds
-    ts, z, bound, grid, _, b_dir = scan_600
+    # Riemann-Siegel value, which clears its bound plus the scalar majorant
+    ts, z, gate, grid, _, _ = scan_600
     lo = _GRID_ROWS * math.ceil(np.searchsorted(ts, _RS_T_MIN) / _GRID_ROWS)
     assert ts[lo - _GRID_ROWS] < _RS_T_MIN <= ts[lo]
     for blk in range(lo, ts.size, _RS_SCAN_BLOCK):
         sl = slice(blk, blk + _RS_SCAN_BLOCK)
         z_rs, b_rs = _z_rs(ts[sl])
         assert np.array_equal(z[sl], z_rs)
-        assert np.all(np.abs(z[sl]) > bound[sl])
-        assert np.all(bound[sl] - b_rs >= np.maximum(grid[1, sl], b_dir[sl]))
+        assert np.array_equal(gate[sl], b_rs + _z_scalar_bound_cap(ts[sl]))
+        assert np.all(np.abs(z[sl]) > gate[sl])
     assert np.array_equal(z[:lo], grid[0, :lo])
+    assert np.array_equal(gate[:lo], grid[1, :lo])
 
 
-def test_scan_chunk_failing_the_gate_takes_the_grid_route(
+def test_scan_point_failing_the_rs_gate_takes_the_fast_route(
         monkeypatch, scan_600):
-    ts, z, bound, grid, _, _ = scan_600
+    ts, z, gate, _, _, _ = scan_600
     ordinates = find_zeros(600.0).ordinates
-    weak = ts[6000]
-    lo = 6000 - 6000 % _GRID_ROWS
-    chunk = slice(lo, lo + _GRID_ROWS)      # the chunk that holds it
+    weak = 6000
+    assert ts[weak] == 300.05
 
     def rs_weak_at_one_point(t_block):
         z_rs, b_rs = _z_rs(t_block)
-        return z_rs, np.where(t_block == weak, np.inf, b_rs)
+        return z_rs, np.where(t_block == ts[weak], np.inf, b_rs)
 
     monkeypatch.setattr("fraczeta.zetalab._z_rs", rs_weak_at_one_point)
-    _, z2, bound2 = _z_scan(600.0, 0.05)
-    assert np.array_equal(z2[chunk], grid[0, chunk])
-    assert np.array_equal(bound2[chunk], grid[1, chunk])
-    rest = np.ones(ts.size, dtype=bool)
-    rest[chunk] = False
+    _, z2, gate2, n_scalar = _z_scan(600.0, 0.05)
+    z_fast, b_fast = _z_fast(ts[weak:weak + 1])
+    assert z2[weak] == z_fast[0] and n_scalar == 0
+    assert gate2[weak] == b_fast[0] + _z_scalar_bound_cap(ts[weak:weak + 1])[0]
+    assert abs(z2[weak]) > gate2[weak]
+    rest = np.arange(ts.size) != weak
     assert np.array_equal(z2[rest], z[rest])
-    assert np.array_equal(bound2[rest], bound[rest])
+    assert np.array_equal(gate2[rest], gate[rest])
     assert find_zeros(600.0).ordinates == ordinates
 
 
