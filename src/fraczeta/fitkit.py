@@ -10,6 +10,7 @@ equivariant under unit changes.
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -18,6 +19,12 @@ import numpy as np
 from .fracdyn import ColeColeModel, arc_fit, cole_cole_impedance
 
 _HEADER = "freq_hz,re_z_ohm,im_z_ohm"
+_LOG_MAX = math.log(sys.float_info.max)  # exp of anything above overflows
+
+
+class FitDivergedError(OverflowError):
+    """Nelder-Mead drove tau or r_ct out of the float range: the spectrum
+    does not constrain that parameter, so no fit is returned."""
 
 
 @dataclass(frozen=True)
@@ -32,7 +39,7 @@ class Spectrum:
         if any(not (x > 0.0 and math.isfinite(x)) for x in w):
             raise ValueError("omegas must be positive and finite")
         if any(b <= a for a, b in zip(w, w[1:])):
-            raise ValueError("omegas must be strictly increasing")
+            raise ValueError("omegas must be increasing, with no duplicates")
         if any(not cmath.isfinite(p[1]) for p in self.points):
             raise ValueError("impedances must be finite")
 
@@ -81,19 +88,15 @@ def read_table(path, header: str) -> np.ndarray:
 
 
 def load_spectrum(path) -> Spectrum:
-    """Read a spectrum file; malformed rows are reported by line number."""
-    rows = read_table(path, _HEADER).tolist()
-    for f, _, _ in rows:
-        if not (f > 0.0 and math.isfinite(f)):
-            raise ValueError(f"{path}: frequency must be positive and "
-                             f"finite, got {f}")
-    rows.sort(key=lambda r: r[0])
-    for (f1, _, _), (f2, _, _) in zip(rows, rows[1:]):
-        if f1 == f2:
-            raise ValueError(f"{path}: duplicate frequency {f1}")
+    """Read a spectrum file, sorted by frequency; every error names the
+    file, and a malformed row its line number."""
+    rows = sorted(read_table(path, _HEADER).tolist())
     pts = tuple((2.0 * math.pi * f, complex(re_z, im_z))
                 for f, re_z, im_z in rows)
-    return Spectrum(points=pts, label=str(path))
+    try:
+        return Spectrum(points=pts, label=str(path))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_spectrum(spectrum: Spectrum, path) -> None:
@@ -131,6 +134,12 @@ def _to_params(raw) -> tuple:
     from scipy.special import expit
 
     a, b, c, d = raw
+    for name, log_v in (("tau", b), ("r_ct", c)):
+        if log_v > _LOG_MAX:
+            raise FitDivergedError(
+                f"fit diverged: {name} left the float range (ln {name} = "
+                f"{log_v:.1f} in normalized units); the spectrum does not "
+                f"constrain it")
     return (float(expit(a)), math.exp(b), math.exp(c),
             float(np.logaddexp(0.0, d)))
 

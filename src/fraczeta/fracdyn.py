@@ -206,12 +206,19 @@ def _ml_series(alpha: float, z: complex):
 def _ml_asymptotic_neg(alpha: float, z: complex):
     # E_a(z) ~ -sum_{k>=1} z^{-k} / Gamma(1 - a k) for real z < 0;
     # divergent tail, truncated at the smallest term (first omitted term
-    # taken as the error).  rgamma is zero at the Gamma poles.
+    # taken as the error).  rgamma is zero at the Gamma poles.  For a > 1
+    # the two saddles r e^{+-i pi/a}, r = |z|^(1/a), add
+    # (2/a) exp(r cos(pi/a)) cos(r sin(pi/a)), which is not small there:
+    # it is cos(sqrt(-z)) itself at a = 2.
     from scipy.special import rgamma
 
     inv = 1.0 / z.real  # negative
     u = 1.0
     total = 0.0
+    if alpha > 1.0:
+        r = (-z.real) ** (1.0 / alpha)
+        total = (2.0 / alpha) * math.exp(r * math.cos(math.pi / alpha)) \
+            * math.cos(r * math.sin(math.pi / alpha))
     prev = math.inf
     omitted = 0.0
     for k in range(1, 400):

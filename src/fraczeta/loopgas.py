@@ -72,6 +72,11 @@ class LoopLattice:
     def sites(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.n_sites)
 
+    @cached_property
+    def free_kernel(self) -> "TransferKernel":
+        """The potential-free TransferKernel, built on first use and kept."""
+        return TransferKernel(_free_gaussian(self), self.eps, self.delta)
+
 
 def make_lattice(x_min, x_max, n_sites, eps, mass=1.0, hbar=1.0,
                  potential=None, boundary="periodic") -> LoopLattice:
@@ -167,7 +172,7 @@ def build_kernel(lattice: LoopLattice) -> TransferKernel:
     which keeps the matrix exactly symmetric."""
     u = np.asarray(lattice.potential)
     half = np.exp(-lattice.eps * u / (2.0 * lattice.hbar))
-    mat = np.outer(half, half) * _free_gaussian(lattice)
+    mat = np.outer(half, half) * lattice.free_kernel.matrix
     return TransferKernel(matrix=mat, eps=lattice.eps, delta=lattice.delta)
 
 
@@ -328,16 +333,6 @@ def _sample_bridge(g: np.ndarray, start: int, end: int, n_steps: int,
     return paths
 
 
-def _path_weights(lattice: LoopLattice, paths: np.ndarray) -> np.ndarray:
-    """exp(-eps S_u/hbar) with the trapezoid action S_u = u0/2 + sum
-    interior u + u_n/2 -- same split as the kernel, so weights times the
-    free chain reproduce T^n exactly."""
-    u = np.asarray(lattice.potential)
-    s = u[paths].sum(axis=1) - 0.5 * (u[paths[:, 0]] + u[paths[:, -1]])
-    with np.errstate(over="ignore"):  # inf is refused by PathEnsemble
-        return np.exp(-lattice.eps * s / lattice.hbar)
-
-
 def sample_paths(lattice: LoopLattice, n_paths: int, n_steps: int, seed: int,
                  mode: str = "loop", start_site=None,
                  end_site=None) -> PathEnsemble:
@@ -364,8 +359,8 @@ def sample_paths(lattice: LoopLattice, n_paths: int, n_steps: int, seed: int,
     if mode == "loop":
         end = start if end_site is None else end_site
         _check_sites(lattice.n_sites, end)
-        g = _free_gaussian(lattice)
-        paths = _sample_bridge(g, start, end, n_steps, n_paths, rng)
+        paths = _sample_bridge(lattice.free_kernel.matrix, start, end,
+                               n_steps, n_paths, rng)
     else:
         sd = math.sqrt(lattice.hbar * lattice.eps / lattice.mass)
         x0 = lattice.sites()[start]
@@ -381,31 +376,30 @@ def sample_paths(lattice: LoopLattice, n_paths: int, n_steps: int, seed: int,
         paths = np.empty((n_paths, n_steps + 1), dtype=np.int64)
         paths[:, 0] = start
         paths[:, 1:] = idx
+    # exp(-eps S_u/hbar) with the trapezoid action S_u = u0/2 + sum interior
+    # u + u_n/2 -- the kernel's split, so weights times the free chain
+    # reproduce T^n exactly
+    u = np.asarray(lattice.potential)
+    s = u[paths].sum(axis=1) - 0.5 * (u[paths[:, 0]] + u[paths[:, -1]])
+    with np.errstate(over="ignore"):  # inf is refused by PathEnsemble
+        w = np.exp(-lattice.eps * s / lattice.hbar)
     return PathEnsemble(n_paths=int(n_paths), n_steps=int(n_steps),
-                        seed=int(seed), paths=paths,
-                        weights=_path_weights(lattice, paths))
+                        seed=int(seed), paths=paths, weights=w)
 
 
 def mc_propagator(lattice: LoopLattice, x0: int, x1: int, n_steps: int,
                   n_paths: int, seed: int):
     """Monte Carlo propagator estimate and its standard error.
 
-    Importance-samples the free lattice bridge x0 -> x1 and averages the
-    potential weights, scaled by the free density (G^n)[x0, x1]/delta;
-    unbiased for propagator(build_kernel(lattice), x0, x1, n_steps).
+    Averages the potential weights of sample_paths' free lattice bridge
+    x0 -> x1, scaled by the free density (G^n)[x0, x1]/delta; unbiased
+    for propagator(build_kernel(lattice), x0, x1, n_steps).
     """
-    _check_sites(lattice.n_sites, x0, x1)
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2 for a standard error, "
                          f"got {n_paths}")
-    g = _free_gaussian(lattice)  # bitwise build_kernel(free lattice).matrix
-    q_free = propagator(TransferKernel(g, lattice.eps, lattice.delta),
-                        x0, x1, n_steps)
-    paths = _sample_bridge(g, x0, x1, n_steps, n_paths,
-                           np.random.default_rng(seed))
-    # the ensemble rejects under- and overflowed weights, as in sample_paths
-    w = PathEnsemble(n_paths, n_steps, seed, paths,
-                     _path_weights(lattice, paths)).weights
+    q_free = propagator(lattice.free_kernel, x0, x1, n_steps)
+    w = sample_paths(lattice, n_paths, n_steps, seed, "loop", x0, x1).weights
     est = q_free * float(np.mean(w))
     se = q_free * float(np.std(w, ddof=1)) / math.sqrt(n_paths)
     return est, se

@@ -38,6 +38,12 @@ CASES = [
     (0.7, -40.0),    # deep asymptotic branch
     (0.5, -30.0),    # z^-k underflows before rgamma(1 - a k) overflows
     (0.8, -400.0 ** 0.8),
+    # 1 < a < 2 past the crossover r = |z|^(1/a) = 18, where the two
+    # exponential terms of the asymptotic expansion are not negligible
+    (1.5, -20.0 ** 1.5),
+    (1.5, -25.0 ** 1.5),
+    (1.2, -20.0 ** 1.2),
+    (1.8, -20.0 ** 1.8),
 ]
 
 if __name__ == "__main__":

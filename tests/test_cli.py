@@ -532,6 +532,18 @@ def test_synth_then_fit_recovers_model(tmp_path, capsys):
     assert rec["r_s_ohm"] == pytest.approx(5.0, rel=1e-3)
 
 
+def test_fit_reports_a_diverged_parameter(tmp_path, capsys):
+    target = tmp_path / "buried.csv"
+    assert dispatch(["synth", "--alpha", "0.5", "--tau", "0.15", "--rct",
+                     "1", "--rs", "20", "--fmin", "1", "--fmax", "1e5",
+                     "--points", "50", "--noise", "0.05", "--seed", "1",
+                     "--out", str(target), "--no-timestamp"]) == 0
+    capsys.readouterr()
+    assert dispatch(["fit", "--input", str(target), "--no-timestamp"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: fit diverged: tau left the float range")
+
+
 def test_arc_reports_depression_alpha(tmp_path, capsys):
     target = tmp_path / "clean.csv"
     assert dispatch(["synth", "--alpha", "0.7", "--points", "60", "--out",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fraczeta.fitkit import (
+    FitDivergedError,
     FitResult,
     Spectrum,
     fit_cole_cole,
@@ -43,8 +44,9 @@ def test_spectrum_rejects_non_finite_impedance(tmp_path):
             Spectrum(points=((1.0, 1 + 0j), (2.0, bad)))
     p = tmp_path / "nan.csv"
     p.write_text("freq_hz,re_z_ohm,im_z_ohm\n10.0,55.0,-12.0\n1000,nan,-10\n")
-    with pytest.raises(ValueError, match="impedances must be finite"):
+    with pytest.raises(ValueError, match="impedances must be finite") as exc:
         load_spectrum(p)
+    assert str(exc.value).startswith(f"{p}: ")
 
 
 # --- file I/O -------------------------------------------------------------------
@@ -238,3 +240,13 @@ def test_fit_validation_and_warnings():
                             0.0, seed=0)
     with pytest.warns(UserWarning, match="decades"):
         fit_cole_cole(narrow)
+
+
+def test_fit_refuses_a_parameter_the_spectrum_does_not_constrain():
+    # a 1-ohm arc under 5% noise on 20 ohms: the simplex walks ln tau past
+    # the float range; a named error, never a bare overflow or a result
+    buried = ColeColeModel(alpha=0.5, tau=0.15, r_ct=1.0, r_s=20.0)
+    spec = synth_spectrum(buried, 2.0 * math.pi * np.logspace(0.0, 5.0, 50),
+                          0.05, seed=1)
+    with pytest.raises(FitDivergedError, match="tau left the float range"):
+        fit_cole_cole(spec)

@@ -54,6 +54,15 @@ ML_TAIL = [
     (0.8, -400.0 ** 0.8, 0.0018237146467564717),
 ]
 
+# 1 < alpha < 2 past the crossover |z|^(1/alpha) = 18, same oracle; the
+# asymptotic route needs its two exponential terms here
+ML_ABOVE_ONE = [
+    (1.5, -20.0 ** 1.5, -0.0031463121228842019),
+    (1.5, -25.0 ** 1.5, -0.002259565055480369),
+    (1.2, -20.0 ** 1.2, -0.0050267200493519098),
+    (1.8, -20.0 ** 1.8, 0.022067984546615992),
+]
+
 
 # --- impedance --------------------------------------------------------------
 
@@ -225,6 +234,14 @@ def test_ml_asymptotic_tail_no_nan():
         got = mittag_leffler(alpha, z)
         assert got.imag == 0.0
         assert abs(got.real - expected) < 1e-15 * expected, (alpha, z)
+
+
+def test_ml_asymptotic_above_one():
+    # relative errors 5e-10 to 7e-8, each below its route's estimate
+    for alpha, z, expected in ML_ABOVE_ONE:
+        got = mittag_leffler(alpha, z)
+        assert got.imag == 0.0
+        assert abs(got.real - expected) < 1e-7 * abs(expected), (alpha, z)
 
 
 def test_ml_special_cases():

@@ -294,6 +294,26 @@ def test_loop_traces_share_one_eigensolve(monkeypatch):
     assert got_all.tobytes() == want_all.tobytes()
 
 
+def test_lattice_builds_its_free_gaussian_once(monkeypatch):
+    # build_kernel, the loop-mode bridge and mc_propagator share the
+    # lattice's free_kernel, so its Gaussian is built on first use only
+    lat = _quiet_lattice(-8.0, 8.0, 201, 0.005, potential=lambda x: x * x / 2)
+    calls = []
+
+    def counted(lattice):
+        calls.append(lattice.n_sites)
+        return _free_gaussian(lattice)
+
+    monkeypatch.setattr("fraczeta.loopgas._free_gaussian", counted)
+    build_kernel(lat)
+    sample_paths(lat, 200, 30, seed=1, mode="loop")
+    for a, b in ((100, 100), (90, 110), (0, 200)):
+        mc_propagator(lat, a, b, 50, 200, seed=2)
+    assert calls == [201]
+    # shared by every later call, so it must not be writable
+    assert not lat.free_kernel.matrix.flags.writeable
+
+
 def test_partition_validation(fine_free):
     _, k = fine_free
     with pytest.raises(ValueError):
