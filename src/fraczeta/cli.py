@@ -14,6 +14,7 @@ ignored, so one file can serve every subcommand.  Exit codes: 0 success,
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -59,15 +60,18 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _emit(args, *, record=None, columns=None, rows=None,
-          seed_used=None) -> int:
-    """Write one record (a dict) or one table (columns and rows) as CSV,
-    RFC 4180 quoted under '#' metadata lines, or as one JSON object.
-    Without --format a table is CSV and a record JSON; a record in CSV is
-    the two-column table key,value."""
+def _emit(args, *, record=None, table=None, seed_used=None) -> int:
+    """Write one record (a dict) or one table (a dict of equal-length
+    columns) as CSV, RFC 4180 quoted under '#' metadata lines, or as one
+    JSON object.  Without --format a table is CSV and a record JSON; a
+    record in CSV is the two-column table key,value."""
     meta = {} if seed_used is None else {"seed": int(seed_used)}
     if not args.no_timestamp:
         meta["timestamp"] = datetime.now(timezone.utc).isoformat()
+    if table is not None:
+        columns = list(table)
+        rows = [[_py(v) for v in row]
+                for row in zip(*table.values(), strict=True)]
     if (args.format or ("json" if record is not None else "csv")) == "csv":
         if record is not None:
             columns, rows = ("key", "value"), record.items()
@@ -79,7 +83,7 @@ def _emit(args, *, record=None, columns=None, rows=None,
         writer.writerows([_cell(v) for v in row] for row in rows)
         text = buf.getvalue()
     else:
-        obj = record if record is not None else {"columns": list(columns),
+        obj = record if record is not None else {"columns": columns,
                                                  "rows": rows}
         text = json.dumps({**obj, **meta}, separators=(",", ":"),
                           default=_py) + "\n"
@@ -166,9 +170,8 @@ def _cmd_impedance(args) -> int:
     w = np.logspace(math.log10(args.wmin), math.log10(args.wmax),
                     args.points)
     z = cole_cole_impedance(model, w)
-    rows = [(float(wi), float(zi.real), float(zi.imag))
-            for wi, zi in zip(w, z)]
-    return _emit(args, columns=("omega_rad_s", "re_z_ohm", "im_z_ohm"), rows=rows)
+    return _emit(args, table={"omega_rad_s": w, "re_z_ohm": z.real,
+                              "im_z_ohm": z.imag})
 
 
 def _cmd_arc(args) -> int:
@@ -201,9 +204,7 @@ def _cmd_fracderiv(args) -> int:
     h = float(t[1] - t[0])
     if args.input and np.max(np.abs(np.diff(t) - h)) > 1e-9 * max(h, 1.0):
         raise ValueError(f"{args.input}: t column must be uniformly spaced")
-    d = gl_fracderiv(f, args.alpha, h)
-    rows = [(float(ti), float(di)) for ti, di in zip(t, d)]
-    return _emit(args, columns=("t", "value"), rows=rows)
+    return _emit(args, table={"t": t, "value": gl_fracderiv(f, args.alpha, h)})
 
 
 def _cmd_phase(args) -> int:
@@ -230,9 +231,8 @@ def _cmd_zeta_eval(args) -> int:
 
 
 def _cmd_zeta_zeros(args) -> int:
-    zl = find_zeros(args.tmax, grid=args.grid)
-    rows = [(i + 1, float(t)) for i, t in enumerate(zl.ordinates)]
-    return _emit(args, columns=("index", "t_ordinate"), rows=rows)
+    t = find_zeros(args.tmax, grid=args.grid).ordinates
+    return _emit(args, table={"index": range(1, len(t) + 1), "t_ordinate": t})
 
 
 def _cmd_zeta_paircorr(args) -> int:
@@ -241,25 +241,22 @@ def _cmd_zeta_paircorr(args) -> int:
                  else unfold(find_zeros(args.tmax)))
     pc = pair_correlation(positions, args.max_sep, args.bins)
     centers = 0.5 * (pc.bin_edges[:-1] + pc.bin_edges[1:])
-    rows = [(float(c), float(e), float(r))
-            for c, e, r in zip(centers, pc.empirical, pc.reference)]
-    return _emit(args, columns=("bin_center", "empirical", "gue_reference"),
-                 rows=rows, seed_used=args.seed if gue else None)
+    return _emit(args, table={"bin_center": centers, "empirical": pc.empirical,
+                              "gue_reference": pc.reference},
+                 seed_used=args.seed if gue else None)
 
 
 def _cmd_zeta_gue(args) -> int:
     pos = gue_sample(args.dim, args.trials, args.seed)
-    rows = [(i + 1, float(p)) for i, p in enumerate(pos)]
-    return _emit(args, columns=("index", "position"), rows=rows,
+    return _emit(args, table={"index": range(1, pos.size + 1), "position": pos},
                  seed_used=args.seed)
 
 
 def _cmd_zeta_universality(args) -> int:
     disc = Disc(center=complex(args.center, 0.0), radius=args.radius)
     rep = universality_scan(disc, None, args.epsilon, args.tmax, args.tstep)
-    rows = [(float(t), float(e), int(e < rep.epsilon))
-            for t, e in zip(rep.t_grid, rep.sup_errors)]
-    return _emit(args, columns=("t", "sup_error", "hit"), rows=rows)
+    return _emit(args, table={"t": rep.t_grid, "sup_error": rep.sup_errors,
+                              "hit": (rep.sup_errors < rep.epsilon).astype(int)})
 
 
 def _cmd_zeta_xi(args) -> int:
@@ -345,18 +342,21 @@ def _cmd_loops_kernel(args) -> int:
     return _emit(args, record=rec)
 
 
+def _profile_table(lat, first_step: int, profiles) -> dict:
+    """(t, x, value) columns of one site profile per step from first_step."""
+    values = np.array(list(profiles))
+    t = np.arange(first_step, first_step + len(values)) * lat.eps
+    return {"t": np.repeat(t, lat.n_sites),
+            "x": np.tile(lat.sites(), len(values)), "value": values.ravel()}
+
+
 def _cmd_loops_propagator(args) -> int:
     lat = _lattice_from_args(args)
-    xs = lat.sites()
-    rows = []
     slices = propagator_slices(build_kernel(lat), _site_of(lat, args.x0),
                                args.steps)
-    for step, q in enumerate(slices, start=1):
-        if args.all_steps or step == args.steps:
-            t = step * lat.eps
-            rows.extend((float(t), float(x), float(qx))
-                        for x, qx in zip(xs, q))
-    return _emit(args, columns=("t", "x", "value"), rows=rows)
+    first = 1 if args.all_steps else args.steps
+    return _emit(args, table=_profile_table(
+        lat, first, itertools.islice(slices, first - 1, None)))
 
 
 def _cmd_loops_sample(args) -> int:
@@ -383,9 +383,8 @@ def _cmd_loops_sample(args) -> int:
 def _cmd_loops_entropy(args) -> int:
     lat = _lattice_from_args(args)
     s_path = path_entropies(build_kernel(lat), args.steps)
-    rows = [(float(step * lat.eps), float(s))
-            for step, s in enumerate(s_path, start=1)]
-    return _emit(args, columns=("t", "s_path"), rows=rows)
+    return _emit(args, table={"t": np.arange(1, s_path.size + 1) * lat.eps,
+                              "s_path": s_path})
 
 
 def _cmd_loops_fluct(args) -> int:
@@ -403,12 +402,7 @@ def _cmd_loops_forwardbackward(args) -> int:
     phi0 = np.exp(-(xs - args.phi0_center) ** 2 / args.phi0_width ** 2)
     phi1 = np.exp(-(xs - args.phi1_center) ** 2 / args.phi1_width ** 2)
     _, _, rhos = forward_backward(build_kernel(lat), phi0, phi1, args.steps)
-    rows = []
-    for step in range(args.steps + 1):
-        t = step * lat.eps
-        rows.extend((float(t), float(x), float(r))
-                    for x, r in zip(xs, rhos[step]))
-    return _emit(args, columns=("t", "x", "value"), rows=rows)
+    return _emit(args, table=_profile_table(lat, 0, rhos))
 
 
 # --- handlers: applied surface --------------------------------------------------------
@@ -416,10 +410,16 @@ def _cmd_loops_forwardbackward(args) -> int:
 
 def _cmd_fit(args) -> int:
     spec = load_spectrum(args.input)
+    starts = {"tau": args.init_tau, "rct": args.init_rct, "rs": args.init_rs}
     init = None
     if args.init_alpha is not None:
-        init = ColeColeModel(alpha=args.init_alpha, tau=args.init_tau,
-                             r_ct=args.init_rct, r_s=args.init_rs)
+        init = ColeColeModel(
+            alpha=args.init_alpha,
+            tau=1e-3 if args.init_tau is None else args.init_tau,
+            r_ct=50.0 if args.init_rct is None else args.init_rct,
+            r_s=1.0 if args.init_rs is None else args.init_rs)
+    elif given := [k for k, v in starts.items() if v is not None]:
+        raise ValueError(f"--init-{given[0]} is read only with --init-alpha")
     res = fit_cole_cole(spec, init=init)
     rec = {"alpha": res.model.alpha, "tau_s": res.model.tau,
            "r_ct_ohm": res.model.r_ct, "r_s_ohm": res.model.r_s,
@@ -438,9 +438,10 @@ def _cmd_synth(args) -> int:
         rec = {"written": args.out, "n_points": len(spec.points)}
         args.out = None  # the spectrum took --out; the record goes to stdout
         return _emit(args, record=rec, seed_used=args.seed)
-    rows = [(w / (2.0 * math.pi), z.real, z.imag) for w, z in spec.points]
-    return _emit(args, columns=("freq_hz", "re_z_ohm", "im_z_ohm"),
-                 rows=rows, seed_used=args.seed)
+    z = spec.z()
+    return _emit(args, table={"freq_hz": spec.omegas() / (2.0 * math.pi),
+                              "re_z_ohm": z.real, "im_z_ohm": z.imag},
+                 seed_used=args.seed)
 
 
 # --- parser ---------------------------------------------------------------------------
@@ -448,9 +449,6 @@ def _cmd_synth(args) -> int:
 
 def _common() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--seed", type=int, default=0,
-                   help="RNG seed for stochastic subcommands "
-                        "(default %(default)s)")
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--config", default=None,
@@ -485,9 +483,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "loop dynamics.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def leaf(group, name, func, **kw):
+    def leaf(group, name, func, seeded=False, **kw):
         p = group.add_parser(name, parents=[common], **kw)
         p.set_defaults(func=func, leaf=p)
+        if seeded:
+            p.add_argument("--seed", type=int, default=0,
+                           help="RNG seed (default %(default)s)")
         return p
 
     p = leaf(sub, "impedance", _cmd_impedance,
@@ -531,14 +532,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(zsub, "zeros", _cmd_zeta_zeros)
     p.add_argument("--tmax", type=float, default=30.0)
     p.add_argument("--grid", type=float, default=0.05)
-    p = leaf(zsub, "paircorr", _cmd_zeta_paircorr)
+    p = leaf(zsub, "paircorr", _cmd_zeta_paircorr, seeded=True)
     p.add_argument("--source", choices=("zeros", "gue"), default="zeros")
     p.add_argument("--tmax", type=float, default=500.0)
     p.add_argument("--dim", type=int, default=200)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--max-sep", dest="max_sep", type=float, default=3.0)
     p.add_argument("--bins", type=int, default=30)
-    p = leaf(zsub, "gue", _cmd_zeta_gue)
+    p = leaf(zsub, "gue", _cmd_zeta_gue, seeded=True)
     p.add_argument("--dim", type=int, default=200)
     p.add_argument("--trials", type=int, default=10)
     p = leaf(zsub, "universality", _cmd_zeta_universality)
@@ -586,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=float, default=0.0)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--all-steps", dest="all_steps", action="store_true")
-    p = leaf(lsub, "sample", _cmd_loops_sample)
+    p = leaf(lsub, "sample", _cmd_loops_sample, seeded=True)
     _lattice_flags(p)
     p.add_argument("--mode", choices=("open", "loop"), default="loop")
     p.add_argument("--paths", type=int, default=10000)
@@ -612,11 +613,12 @@ def build_parser() -> argparse.ArgumentParser:
              help="fit the Cole-Cole model to a spectrum file")
     p.add_argument("--input", required=True)
     p.add_argument("--init-alpha", dest="init_alpha", type=float, default=None)
-    p.add_argument("--init-tau", dest="init_tau", type=float, default=1e-3)
-    p.add_argument("--init-rct", dest="init_rct", type=float, default=50.0)
-    p.add_argument("--init-rs", dest="init_rs", type=float, default=1.0)
+    # with --init-alpha these default to 1e-3, 50 and 1; alone, an error
+    p.add_argument("--init-tau", dest="init_tau", type=float, default=None)
+    p.add_argument("--init-rct", dest="init_rct", type=float, default=None)
+    p.add_argument("--init-rs", dest="init_rs", type=float, default=None)
 
-    p = leaf(sub, "synth", _cmd_synth,
+    p = leaf(sub, "synth", _cmd_synth, seeded=True,
              help="generate a synthetic spectrum file")
     _model_flags(p)
     p.add_argument("--fmin", type=float, default=1.0)

@@ -3,10 +3,10 @@
 An integer n = prod p_i^{r_i} is stored as the sparse vector of its
 exponents.  Divisibility becomes the coordinatewise partial order, lcm
 and gcd the lattice join and meet, and log n = sum r_i log p_i the
-monoid homomorphism into (R, +).  The scaling action N(s) sends the
-vector to the complex coordinates -s*r_i, whose exponentiated sum is
-n^{-s}; summing those values over n = 1..n_max reproduces the Dirichlet
-partial sum of zeta, term by term, through the factorization route.
+monoid homomorphism into (R, +).  The scaling action N(s) maps the
+vector v to exp(-s * log_norm(v)) = n^{-s}, the term trace_exp sums;
+summing it over n = 1..n_max reproduces the Dirichlet partial sum of
+zeta, term by term, through the factorization route.
 The Cantor polynomial realizes the bijection N x N = N, and
 fiber_copies stacks vertically translated copies of a compact rectangle
 with a disjointness certificate.
@@ -87,26 +87,6 @@ class PrimeVector:
 
     def __hash__(self):
         return hash(tuple(self.coords.items()))
-
-
-@dataclass(frozen=True)
-class ScaledPoint:
-    """Image of a factorization vector under the scaling action N(s).
-
-    coords_scaled maps each prime to -s * r_i; the represented value is
-    exp(sum coords_scaled[p] * log p) = n^{-s}.
-    """
-
-    base: PrimeVector
-    s: complex
-    coords_scaled: Mapping[int, complex]
-
-    @property
-    def value(self) -> complex:
-        acc = 0.0 + 0.0j
-        for p, c in self.coords_scaled.items():
-            acc += c * math.log(p)
-        return cmath.exp(acc)
 
 
 @dataclass(frozen=True)
@@ -248,13 +228,6 @@ def divides(a: PrimeVector, b: PrimeVector) -> bool:
     return all(r <= b.coords.get(p, 0) for p, r in a.coords.items())
 
 
-def scale(v: PrimeVector, s: complex) -> ScaledPoint:
-    """Apply N(s): each exponent r_i goes to the coordinate -s*r_i."""
-    s = complex(s)
-    return ScaledPoint(base=v, s=s,
-                       coords_scaled={p: -s * r for p, r in v.coords.items()})
-
-
 def trace_exp(n_max: int, s: complex) -> complex:
     """sum_{n=1..n_max} exp(-s * log_norm(factorize(n))).
 
@@ -264,6 +237,8 @@ def trace_exp(n_max: int, s: complex) -> complex:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
     total = 0.0 + 0.0j
     for n in range(1, n_max + 1):
         total += cmath.exp(-s * log_norm(factorize(n)))

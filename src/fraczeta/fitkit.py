@@ -27,6 +27,11 @@ class FitDivergedError(OverflowError):
     does not constrain that parameter, so no fit is returned."""
 
 
+class SingularFitError(ArithmeticError):
+    """J^T J is singular at the optimum: the spectrum does not separate the
+    four parameters, so they have no error bars and no fit is returned."""
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Measured or synthetic impedance points, sorted by frequency."""
@@ -175,7 +180,6 @@ def fit_cole_cole(spec: Spectrum, init=None) -> FitResult:
     init runs when the first pass fails to converge.
     """
     from scipy.optimize import minimize
-    from scipy.special import expit
 
     n_pts = len(spec.points)
     if n_pts < 5:
@@ -228,26 +232,34 @@ def fit_cole_cole(spec: Spectrum, init=None) -> FitResult:
     alpha, tau_n, rct_n, rs_n = _to_params(res.x)
     model = ColeColeModel(alpha=alpha, tau=tau_n / w_scale,
                           r_ct=rct_n * z_scale, r_s=rs_n * z_scale)
-    sig = _crude_uncertainty(loss_raw, res.x, float(res.fun), n_pts)
-    # chain rule from raw coordinates back to natural parameters
-    scale = {"alpha": alpha * (1.0 - alpha), "tau": tau_n / w_scale,
-             "r_ct": rct_n * z_scale, "r_s": float(expit(res.x[3])) * z_scale}
-    unc = {k: sig[i] * scale[k] for i, k in
-           enumerate(("alpha", "tau", "r_ct", "r_s"))}
+    sig = _standard_errors(ColeColeModel(alpha=alpha, tau=tau_n, r_ct=rct_n,
+                                         r_s=rs_n), w, z, float(res.fun))
+    unc = dict(zip(("alpha", "tau", "r_ct", "r_s"),
+                   (sig * (1.0, 1.0 / w_scale, z_scale, z_scale)).tolist()))
     return FitResult(model=model, loss=float(res.fun), n_iter=n_iter,
                      converged=bool(res.success), per_param_uncertainty=unc)
 
 
-def _crude_uncertainty(loss_fn, x_opt, f_opt, n_pts) -> list:
-    """Diagonal-curvature error bars: sqrt(2 s^2/kappa_i) with
-    s^2 = loss/(2N - 4); nan where the curvature is not positive."""
-    dof = max(2 * n_pts - 4, 1)
-    s2 = max(f_opt, 0.0) / dof
-    out = []
-    for i in range(4):
-        h = 1e-4 * max(1.0, abs(x_opt[i]))
-        e = np.zeros(4)
-        e[i] = h
-        kappa = (loss_fn(x_opt + e) - 2.0 * f_opt + loss_fn(x_opt - e)) / h ** 2
-        out.append(math.sqrt(2.0 * s2 / kappa) if kappa > 0.0 else math.nan)
-    return out
+def _standard_errors(model: ColeColeModel, w: np.ndarray, z: np.ndarray,
+                     loss: float) -> np.ndarray:
+    """Standard errors of (alpha, tau, r_ct, r_s): the square roots of the
+    diagonal of s^2 (J^T J)^-1, s^2 = loss/(2N - 4), with J the analytic
+    Jacobian of the modulus-weighted residuals.  The columns of J are
+    scaled to unit norm before the solve: unscaled, J^T J can have a
+    condition number near 1e9."""
+    wt = w * model.tau
+    u = wt ** model.alpha * cmath.exp(1j * model.alpha * math.pi / 2)
+    du = -model.r_ct * u / (1.0 + u) ** 2  # u dZ/du
+    dz = np.stack([du * (np.log(wt) + 0.5j * math.pi),
+                   du * model.alpha / model.tau,
+                   1.0 / (1.0 + u), np.ones_like(u)], axis=1)
+    dz /= np.abs(z)[:, None]
+    jac = np.concatenate([dz.real, dz.imag])
+    norms = np.linalg.norm(jac, axis=0)
+    if np.all(np.isfinite(jac)) and np.all(norms > 0.0):
+        sv, vt = np.linalg.svd(jac / norms, full_matrices=False)[1:]
+        if sv[-1] > sv[0] * jac.shape[0] * np.finfo(float).eps:
+            s2 = loss / (jac.shape[0] - 4)
+            return np.sqrt(s2 * np.sum((vt / sv[:, None]) ** 2, axis=0)) / norms
+    raise SingularFitError("J^T J is singular at the optimum: the spectrum "
+                           "does not separate the four parameters")

@@ -98,6 +98,8 @@ class TwistedShift:
     theta: float = 0.0
 
     def __post_init__(self):
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
         th = math.fmod(self.theta, _TWO_PI)
         if th < 0.0:
             th += _TWO_PI
@@ -312,6 +314,8 @@ def gl_fracderiv(samples, alpha: float, h: float) -> np.ndarray:
     f = np.asarray(samples, dtype=float).ravel()
     if f.size < 2:
         raise ValueError(f"need >= 2 samples, got {f.size}")
+    if not np.all(np.isfinite(f)):
+        raise ValueError("samples must be finite")
     w = gl_weights(alpha, f.size)
     return h ** (-alpha) * np.convolve(f, w)[: f.size]
 
@@ -323,5 +327,7 @@ def twisted_compose(g1: TwistedShift, g2: TwistedShift, delta: float) -> Twisted
     the extra phase 2*delta; delta=0 makes the group abelian.  The phase
     arithmetic is ordered so that generator compositions are bit-exact.
     """
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
     theta = (g1.theta + g2.theta) + 2.0 * delta * (g1.b * g2.a)
     return TwistedShift(g1.a + g2.a, g1.b + g2.b, theta)

@@ -247,11 +247,19 @@ def _grid_chunks(base: np.ndarray, shifts: np.ndarray, step: float):
         yield slice(lo, min(lo + _GRID_ROWS, shifts.size)), phases
 
 
+def _finite_s(s) -> complex:
+    """s as a complex number, or ValueError when either part is not finite."""
+    s = complex(s)
+    if not cmath.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
+    return s
+
+
 def partial_zeta(s: complex, n_max: int) -> complex:
     """Finite Dirichlet sum over n = 1..n_max."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    s = complex(s)
+    s = _finite_s(s)
     total = 0.0 + 0.0j
     for lo in range(1, n_max + 1, 10 ** 6):
         n = np.arange(lo, min(lo + 10 ** 6, n_max + 1), dtype=float)
@@ -261,7 +269,7 @@ def partial_zeta(s: complex, n_max: int) -> complex:
 
 def euler_product(s: complex, p_max: int) -> complex:
     """prod_{p <= p_max} (1 - p^{-s})^{-1}; needs Re s > 1."""
-    s = complex(s)
+    s = _finite_s(s)
     if s.real <= 1.0:
         raise ValueError(f"Euler product requires Re s > 1, got {s.real}")
     if p_max < 2:
@@ -272,9 +280,7 @@ def euler_product(s: complex, p_max: int) -> complex:
 
 def zeta(s: complex) -> ZetaPoint:
     """Euler-Maclaurin zeta on 0 < Re s, s != 1, |Im s| <= 1e4."""
-    s = complex(s)
-    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
-        raise ValueError(f"s must be finite, got {s}")
+    s = _finite_s(s)
     if s == 1.0:
         raise ValueError("zeta has a pole at s = 1")
     if s.real <= 0.0:
@@ -618,6 +624,8 @@ def pair_correlation(unfolded, max_sep: float, bins: int) -> PairCorrelation:
     x = np.sort(np.asarray(unfolded, dtype=float).ravel())
     if x.size < 100:
         raise ValueError(f"need >= 100 positions, got {x.size}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("positions must be finite")
     if not (max_sep > 0.0 and math.isfinite(max_sep)):
         raise ValueError(f"max_sep must be positive, got {max_sep}")
     if bins < 1:
@@ -695,7 +703,7 @@ def _spectrum(eigenvalues) -> np.ndarray:
 def spectral_zeta(eigenvalues, s: complex) -> complex:
     """sum_n lambda_n^{-s} over a finite positive spectrum."""
     lam = _spectrum(eigenvalues)
-    s = complex(s)
+    s = _finite_s(s)
     return complex(np.sum(np.exp(-s * np.log(lam))))
 
 

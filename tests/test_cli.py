@@ -5,6 +5,7 @@ installed script uses, so exit codes, stdout bytes, and file outputs
 are exercised exactly as a shell user would see them.
 """
 
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fraczeta.cli import dispatch
+from fraczeta.cli import build_parser, dispatch
 from fraczeta.fitkit import load_spectrum, save_spectrum, synth_spectrum
 from fraczeta.fracdyn import (ColeColeModel, TwistedShift,
                               cole_cole_impedance, gl_fracderiv,
@@ -72,6 +73,35 @@ def test_missing_input_file_exits_one(capsys):
 def test_threads_flag_is_gone(capsys):
     # --threads was parsed and never read; it is now an unknown flag
     assert dispatch(["phase", "--threads", "2", "--no-timestamp"]) == 2
+
+
+def _leaves(parser, words=()):
+    """(command words, parser) for every leaf subcommand."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(words), parser
+    for action in subs:
+        for name, p in action.choices.items():
+            yield from _leaves(p, (*words, name))
+
+
+def test_seed_only_on_the_stochastic_leaves(tmp_path, capsys):
+    leaves = dict(_leaves(build_parser()))
+    assert len(leaves) == 26
+    seeded = {w for w, p in leaves.items()
+              if "--seed" in p._option_string_actions}
+    assert seeded == {"zeta paircorr", "zeta gue", "loops sample", "synth"}
+    assert dispatch(["zeta", "eval", "--seed", "1"]) == 2
+    # a config file's seed key is ignored where no flag reads it
+    conf = tmp_path / "lab.conf"
+    conf.write_text("seed = 3\n")
+    code, out = run(capsys, "zeta", "eval", "--config", str(conf),
+                    "--no-timestamp")
+    assert code == 0 and "seed" not in json.loads(out)
+    code, out = run(capsys, "zeta", "gue", "--dim", "20", "--trials", "1",
+                    "--config", str(conf), "--no-timestamp")
+    assert code == 0 and "# seed: 3" in out.splitlines()
 
 
 def test_output_file_matches_stdout(tmp_path, capsys):
@@ -565,6 +595,25 @@ def test_fit_accepts_explicit_init(tmp_path, capsys):
                     "--init-rs", "2", "--no-timestamp")
     assert code == 0
     assert json.loads(out)["alpha"] == pytest.approx(0.85, abs=1e-3)
+
+
+def test_fit_init_flags_without_init_alpha_exit_one(tmp_path, capsys):
+    # they were read only beside --init-alpha, and ignored without it
+    spec = tmp_path / "spec.csv"
+    assert dispatch(["synth", "--points", "20", "--out", str(spec),
+                     "--no-timestamp"]) == 0
+    capsys.readouterr()
+    assert dispatch(["fit", "--input", str(spec), "--init-tau", "7",
+                     "--init-rct", "1e6"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --init-tau is read only with --init-alpha\n")
+    conf = tmp_path / "lab.conf"
+    conf.write_text("init-rs = 2\n")
+    assert dispatch(["fit", "--input", str(spec), "--config",
+                     str(conf)]) == 1
+    assert "--init-rs" in capsys.readouterr().err
+    assert dispatch(["fit", "--input", str(spec), "--config", str(conf),
+                     "--init-alpha", "0.5", "--no-timestamp"]) == 0
 
 
 # --- cold start ------------------------------------------------------------------

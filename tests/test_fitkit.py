@@ -8,7 +8,9 @@ import pytest
 from fraczeta.fitkit import (
     FitDivergedError,
     FitResult,
+    SingularFitError,
     Spectrum,
+    _standard_errors,
     fit_cole_cole,
     load_spectrum,
     save_spectrum,
@@ -227,6 +229,21 @@ def test_fit_uncertainties_finite_on_noisy_data():
     assert set(unc) == {"alpha", "tau", "r_ct", "r_s"}
     for v in unc.values():
         assert math.isfinite(v) and v > 0.0
+
+
+def test_fit_alpha_error_bar_matches_the_alpha_spread():
+    fits = [fit_cole_cole(synth_spectrum(TRUTH, OMEGAS, 0.01, seed))
+            for seed in range(40)]
+    spread = np.std([f.model.alpha for f in fits], ddof=1)
+    bar = np.median([f.per_param_uncertainty["alpha"] for f in fits])
+    assert abs(bar / spread - 1.0) < 0.2
+
+
+def test_singular_jacobian_is_a_named_error():
+    # one frequency repeated: J has rank 2, the four parameters none
+    w = np.full(10, 1e3)
+    with pytest.raises(SingularFitError, match="singular"):
+        _standard_errors(TRUTH, w, cole_cole_impedance(TRUTH, w), 1.0)
 
 
 def test_fit_validation_and_warnings():
