@@ -186,11 +186,8 @@ def _cmd_arc(args) -> int:
 
 
 def _cmd_ml(args) -> int:
-    val = complex(mittag_leffler(args.alpha, args.z))
-    rec = {"alpha": args.alpha, "z": args.z, "value": val.real}
-    if val.imag != 0.0:
-        rec["value_im"] = val.imag
-    return _emit(args, record=rec)
+    return _emit(args, record={"alpha": args.alpha, "z": args.z,
+                               "value": mittag_leffler(args.alpha, args.z).real})
 
 
 def _cmd_fracderiv(args) -> int:
@@ -267,8 +264,7 @@ def _cmd_zeta_xi(args) -> int:
 
 
 def _cmd_zeta_spectral(args) -> int:
-    lam = [float(x) for x in args.eigenvalues]
-    s_re, s_im = args.s_re, args.s_im
+    lam, s_re, s_im = args.eigenvalues, args.s_re, args.s_im
     if args.mellin:
         if s_im != 0.0:
             raise ValueError("the Mellin route needs a real s")
@@ -333,12 +329,11 @@ def _cmd_epr_fiber(args) -> int:
 
 def _cmd_loops_kernel(args) -> int:
     lat = _lattice_from_args(args)
-    k = build_kernel(lat)
-    sums = k.matrix.sum(axis=1)
+    m = build_kernel(lat).matrix
+    sums = m.sum(axis=1)
     rec = {"n_sites": lat.n_sites, "delta": lat.delta, "eps": lat.eps,
-           "stability": lat.stability, "row_sum_min": float(sums.min()),
-           "row_sum_max": float(sums.max()),
-           "symmetric": bool(np.array_equal(k.matrix, k.matrix.T))}
+           "stability": lat.stability, "row_sum_min": sums.min(),
+           "row_sum_max": sums.max(), "symmetric": np.array_equal(m, m.T)}
     return _emit(args, record=rec)
 
 
@@ -374,9 +369,9 @@ def _cmd_loops_sample(args) -> int:
                            mode="open", start_site=start)
         xs = lat.sites()
         dx = xs[ens.paths[:, -1]] - xs[ens.paths[:, 0]]
-        rec.update(sample_variance=float(np.var(dx)),
+        rec.update(sample_variance=np.var(dx),
                    expected_2dt=lat.hbar * args.steps * lat.eps / lat.mass,
-                   mean_weight=float(np.mean(ens.weights)))
+                   mean_weight=np.mean(ens.weights))
     return _emit(args, record=rec, seed_used=args.seed)
 
 

@@ -108,10 +108,6 @@ class Rectangle:
     def height(self) -> float:
         return self.im_max - self.im_min
 
-    @property
-    def width(self) -> float:
-        return self.re_max - self.re_min
-
 
 @dataclass(frozen=True)
 class FiberDomain:

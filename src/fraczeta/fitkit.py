@@ -37,7 +37,6 @@ class Spectrum:
     """Measured or synthetic impedance points, sorted by frequency."""
 
     points: tuple
-    label: str = ""
 
     def __post_init__(self):
         w = [p[0] for p in self.points]
@@ -69,15 +68,17 @@ class FitResult:
 
 
 def read_table(path, header: str) -> np.ndarray:
-    """Numeric CSV file whose first line is `header`, as an array of shape
-    (rows, columns).  Blank lines are skipped; a malformed row is reported
-    by its line number in the file."""
+    """Numeric CSV file whose first line after any '#' metadata lines is
+    `header`, as an array of shape (rows, columns).  Blank lines are
+    skipped; a malformed row is reported by its line number in the file."""
     n_cols = len(header.split(","))
     rows = []
     with open(path, encoding="utf-8") as fh:
-        if fh.readline().strip() != header:
+        lines = enumerate(fh, start=1)
+        first = next((ln for _, ln in lines if not ln.startswith("#")), "")
+        if first.strip() != header:
             raise ValueError(f"{path}: first line must be the header {header!r}")
-        for i, ln in enumerate(fh, start=2):
+        for i, ln in lines:
             if not ln.strip():
                 continue
             parts = ln.split(",")
@@ -99,7 +100,7 @@ def load_spectrum(path) -> Spectrum:
     pts = tuple((2.0 * math.pi * f, complex(re_z, im_z))
                 for f, re_z, im_z in rows)
     try:
-        return Spectrum(points=pts, label=str(path))
+        return Spectrum(points=pts)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -127,7 +128,7 @@ def synth_spectrum(model: ColeColeModel, omegas, noise_rel: float,
         z = z + scale * rng.standard_normal(w.size) \
             + 1j * scale * rng.standard_normal(w.size)
     pts = tuple((float(wi), complex(zi)) for wi, zi in zip(w, z))
-    return Spectrum(points=pts, label=f"synthetic seed={seed}")
+    return Spectrum(points=pts)
 
 
 def _softplus_inv(y: float) -> float:

@@ -144,6 +144,8 @@ def arc_fit(points) -> ArcFit:
     pts = np.asarray(points, dtype=complex).ravel()
     if pts.size < 3:
         raise DegenerateArcError(f"need >= 3 points, got {pts.size}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
     x, y = pts.real, pts.imag
     spread = np.column_stack([x - x.mean(), y - y.mean()])
     sv = np.linalg.svd(spread, compute_uv=False)
@@ -294,6 +296,10 @@ def gl_weights(alpha: float, n: int) -> np.ndarray:
 
     Recurrence w_0 = 1, w_j = w_{j-1} * (1 - (alpha+1)/j).
     """
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     w = np.empty(n)
     w[0] = 1.0
     for j in range(1, n):

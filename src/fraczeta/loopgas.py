@@ -212,9 +212,7 @@ def propagator(kernel: TransferKernel, x0: int, x1: int, n_steps: int) -> float:
 
 
 def _loop_traces(kernel: TransferKernel, first: int, n_steps: int) -> list:
-    """(Tr T^n, ln Tr T^n) for n = first..n_steps, from the kernel's
-    cached spectrum.  math.log, not np.log, whose SIMD loop may differ by
-    an ulp."""
+    """Tr T^n for n = first..n_steps, from the kernel's cached spectrum."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     lam = kernel.spectrum
@@ -223,25 +221,25 @@ def _loop_traces(kernel: TransferKernel, first: int, n_steps: int) -> list:
         z = float(np.sum(lam ** n))
         if not (z > 0.0):
             raise ArithmeticError(f"loop partition {z} is not positive")
-        out.append((z, math.log(z)))
+        out.append(z)
     return out
 
 
 def loop_partition(kernel: TransferKernel, n_steps: int) -> float:
     """Lattice loop integral over closed paths: Tr(T^n), via the spectrum
     of the symmetric operator."""
-    return _loop_traces(kernel, n_steps, n_steps)[0][0]
+    return _loop_traces(kernel, n_steps, n_steps)[0]
 
 
 def path_entropy(kernel: TransferKernel, n_steps: int) -> float:
-    """ln of the loop integral, in units of k_B."""
-    return _loop_traces(kernel, n_steps, n_steps)[0][1]
+    """ln Tr T^n in units of k_B; math.log, as np.log may differ by an ulp."""
+    return math.log(loop_partition(kernel, n_steps))
 
 
 def path_entropies(kernel: TransferKernel, n_steps: int) -> np.ndarray:
     """path_entropy(kernel, n) for n = 1..n_steps, bit for bit, from one
     eigensolve."""
-    return np.array([s for _, s in _loop_traces(kernel, 1, n_steps)])
+    return np.array([math.log(z) for z in _loop_traces(kernel, 1, n_steps)])
 
 
 def fluctuation_bound(beta: float, dt: float, mass: float = 1.0,

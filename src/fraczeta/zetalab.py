@@ -41,7 +41,7 @@ _TWO_PI = 2.0 * math.pi
 _T_CEIL = 1.0e4
 _M_CAP = 60
 _ZERO_TOL = 1e-9      # bracket width find_zeros bisects to and reports
-_GRID_ROWS = 512      # shifts per grid chunk; a chunk shares one cutoff N
+_GRID_ROWS = 512      # largest grid chunk; a chunk shares one cutoff N
 _GRID_CELLS = 2 ** 21  # complex entries of the grid factor, 32 MB
 _BISECT_CHUNK = 128   # points per _z_fast call; each chunk gets its own N
 _RS_SCAN_BLOCK = 4096  # points per _z_rs call; 1.3 MB arrays at t = 1e4
@@ -118,8 +118,8 @@ class ZeroList:
 
     def __post_init__(self):
         ts = self.ordinates
-        if any(t <= 0.0 for t in ts):
-            raise ValueError("ordinates must be positive")
+        if not all(0.0 < t < math.inf for t in ts):
+            raise ValueError("ordinates must be finite and positive")
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("ordinates must be strictly increasing")
 
@@ -142,6 +142,8 @@ class Disc:
     radius: float
 
     def __post_init__(self):
+        if not cmath.isfinite(self.center):
+            raise ValueError(f"center must be finite, got {self.center}")
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise ValueError(f"radius must be positive and finite, got {self.radius}")
 
@@ -180,9 +182,9 @@ def _em_block(base: np.ndarray, shifts: np.ndarray, tol: float,
     shares one cutoff N (default _cutoff(base, shifts)); the main sum is factored
     as exp(-i t_k log n) @ n^{-b_j}, with n^{-b_j} kept real when the base
     is real.  For shifts t_k = t_0 + k*step on a grid, phases may hold
-    the grid factor exp(-i k step log n) for k < rows (see _grid_chunks);
-    the main sum of each run of rows shifts from t_r on is then
-    phases @ (exp(-i t_r log n) n^{-b_j}).  Bernoulli terms are
+    the grid factor exp(-i k step log n) for at least as many k as there
+    are shifts (see _grid_chunks); the main sum is then
+    phases @ (exp(-i t_0 log n) n^{-b_j}).  Bernoulli terms are
     added until the remainder bound drops to tol everywhere or the terms
     stop shrinking; err is that bound plus twice the float-noise floor.
     """
@@ -197,11 +199,8 @@ def _em_block(base: np.ndarray, shifts: np.ndarray, tol: float,
     if phases is None:
         main = np.exp(-1j * np.outer(shifts, log_n)) @ p
     else:
-        rows = phases.shape[0]
-        main = np.concatenate([
-            phases[:shifts[lo: lo + rows].size, :n.size]
-            @ (np.exp(-1j * shifts[lo] * log_n)[:, None] * p)
-            for lo in range(0, shifts.size, rows)])
+        main = (phases[:shifts.size, :n.size]
+                @ (np.exp(-1j * shifts[0] * log_n)[:, None] * p))
     sigma = s.real
     big_n = float(n_used)
     ninvs = np.exp(-s * math.log(big_n))           # N^{-s}
@@ -230,12 +229,13 @@ def _em_block(base: np.ndarray, shifts: np.ndarray, tol: float,
 
 def _grid_chunks(base: np.ndarray, shifts: np.ndarray, step: float):
     """Split the ascending grid shifts[k] = shifts[0] + k*step into chunks
-    of _GRID_ROWS shifts, each to share one cutoff in _em_block.
+    of up to _GRID_ROWS shifts, fewer where that many rows of the largest
+    cutoff would pass _GRID_CELLS entries; each chunk is one cutoff and one
+    product in _em_block.
 
     Yields (slice, phases) per chunk, where phases[k, n-1] =
-    exp(-i k step log n) is the grid factor _em_block takes.  It is built
-    once, with columns for the largest cutoff on the grid and at most
-    _GRID_ROWS rows, fewer when needed to stay within _GRID_CELLS entries.
+    exp(-i k step log n), k below the chunk length, is the grid factor
+    _em_block takes, built once with columns for the grid's largest cutoff.
     """
     if shifts.size == 0:
         return
@@ -243,8 +243,8 @@ def _grid_chunks(base: np.ndarray, shifts: np.ndarray, step: float):
     rows = max(1, min(_GRID_ROWS, _GRID_CELLS // n_max))
     log_n = np.log(np.arange(1, n_max, dtype=float))
     phases = np.exp(-1j * np.outer(np.arange(rows) * step, log_n))
-    for lo in range(0, shifts.size, _GRID_ROWS):
-        yield slice(lo, min(lo + _GRID_ROWS, shifts.size)), phases
+    for lo in range(0, shifts.size, rows):
+        yield slice(lo, min(lo + rows, shifts.size)), phases
 
 
 def _finite_s(s) -> complex:
@@ -491,6 +491,8 @@ def riemann_siegel_Z(t: float) -> float:
 
 def mean_zero_count(t: float) -> float:
     """Smooth zero-count estimate Nbar(T) = (T/2pi)log(T/2pi) - T/2pi + 7/8."""
+    if not (0.0 < t < math.inf):
+        raise ValueError(f"t must be finite and positive, got {t}")
     x = t / _TWO_PI
     return x * math.log(x) - x + 0.875
 

@@ -562,6 +562,21 @@ def test_synth_then_fit_recovers_model(tmp_path, capsys):
     assert rec["r_s_ohm"] == pytest.approx(5.0, rel=1e-3)
 
 
+def test_arc_and_fit_read_synth_stdout_table(tmp_path, capsys):
+    # the stdout table carries '#' metadata lines above its header
+    synth = ["synth", "--points", "30", "--noise", "0.01", "--seed", "4"]
+    _, table = run(capsys, *synth)
+    (tmp_path / "stdout.csv").write_text(table)
+    assert table.startswith("# command: fraczeta synth\n# seed: 4\n# timestamp")
+    assert dispatch([*synth, "--out", str(tmp_path / "out.csv")]) == 0
+    capsys.readouterr()
+    for cmd in ("arc", "fit"):
+        recs = [json.loads(run(capsys, cmd, "--input", str(tmp_path / name),
+                               "--no-timestamp")[1])
+                for name in ("stdout.csv", "out.csv")]
+        assert recs[0] == recs[1]
+
+
 def test_fit_reports_a_diverged_parameter(tmp_path, capsys):
     target = tmp_path / "buried.csv"
     assert dispatch(["synth", "--alpha", "0.5", "--tau", "0.15", "--rct",
@@ -699,6 +714,10 @@ PINNED = {
     "ml -3.5 --alpha 0.6": (
         "59b523c87103f00a8d927425e8e3dfbb534f3add8988a6faef7f8303c6b03272",
         "a4422874357ac9ca4510ac48da0c5e015c731d3b50399b2b3d3444de76b638a6"),
+    # past the crossover: the asymptotic route
+    "ml -30 --alpha 0.6": (
+        "89f5ca5387a50128df4091e82dfc9cba06c269421726f3db2225db480cd078b5",
+        "657339c04a657e96789883632a4c4b48589197d17a4eecc9f88ba24221dbbfe6"),
     "ml 25 --alpha 0.5": (
         "058432f8e1ffe7fd3f834d263c02e7cc2da3673e81feb72411795115b3c8a1bd",
         "48ccf0b2f183dd80816388926af5b40e53adb8531de4ed53b452724c230332f6"),
@@ -774,6 +793,10 @@ PINNED = {
         "d54985a001fa87db172a5b412fbd1308ef248eae68afda2d59aee0ce8b97f2b5",
         "9a799556d39b226f07adb3d2134623ae894927da43894bacb40b6a499232bc60"),
     f"loops sample {_LAT} --mode open --paths 200 --steps 10 --seed 3": (
+        "e0d70046db3b7e1052c52e0abd965bb5e82c3b5ebb4400c13d8c907d6d510149",
+        "af7e1b31a1ff63043d49626ac7fe3e963584b73e6f66df0ac0aeabcbfe4c5045"),
+    f"loops sample {_LAT} --boundary reflecting --mode open --paths 200 "
+    "--steps 10 --seed 3": (
         "e0d70046db3b7e1052c52e0abd965bb5e82c3b5ebb4400c13d8c907d6d510149",
         "af7e1b31a1ff63043d49626ac7fe3e963584b73e6f66df0ac0aeabcbfe4c5045"),
     f"loops entropy {_LAT} --steps 5": (

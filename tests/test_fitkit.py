@@ -165,6 +165,14 @@ def test_fit_noisy_recovery():
     assert float(np.median(tau_err)) <= 0.05
 
 
+def test_fit_restarts_when_the_first_pass_stops_short():
+    # both Nelder-Mead passes hit their 4,000-iteration cap on this arc
+    spec = synth_spectrum(ColeColeModel(0.88, 3e-4, 1400.0, 0.01),
+                          np.logspace(-1.5, 2.5, 32), 0.0, 0)
+    res = fit_cole_cole(spec)
+    assert res.n_iter == 8000 and res.converged is False
+
+
 def test_fit_alpha_one_boundary():
     pure = ColeColeModel(alpha=1.0, tau=1e-3, r_ct=50.0, r_s=5.0)
     res = fit_cole_cole(synth_spectrum(pure, OMEGAS, 0.0, seed=0))

@@ -451,13 +451,22 @@ def test_open_paths_free_weights_one():
 
 
 def test_open_paths_variance_growth():
-    with pytest.warns(UserWarning):
-        lat = make_lattice(-20.0, 20.0, 801, 0.01)
-    ens = sample_paths(lat, 10 ** 5, 100, seed=3, mode="open")
-    xs = lat.sites()
-    dx = xs[ens.paths[:, -1]] - xs[ens.paths[:, 0]]
-    two_dt = lat.hbar * 100 * lat.eps / lat.mass  # 2Dt with D = hbar/2m
-    assert abs(float(np.var(dx)) - two_dt) < 0.02 * two_dt
+    # far from the walls either boundary leaves the free spread
+    for boundary in ("periodic", "reflecting"):
+        with pytest.warns(UserWarning):
+            lat = make_lattice(-20.0, 20.0, 801, 0.01, boundary=boundary)
+        ens = sample_paths(lat, 10 ** 5, 100, seed=3, mode="open")
+        xs = lat.sites()
+        dx = xs[ens.paths[:, -1]] - xs[ens.paths[:, 0]]
+        two_dt = lat.hbar * 100 * lat.eps / lat.mass  # 2Dt with D = hbar/2m
+        assert abs(float(np.var(dx)) - two_dt) < 0.02 * two_dt
+
+
+def test_open_paths_fold_at_reflecting_walls():
+    # a narrow box: the fold keeps every site inside, walls included
+    lat = _quiet_lattice(-0.5, 0.5, 21, 0.01, boundary="reflecting")
+    paths = sample_paths(lat, 500, 100, seed=4, mode="open").paths
+    assert paths.min() == 0 and paths.max() == lat.n_sites - 1
 
 
 def test_loop_paths_pinned(fine_harmonic):

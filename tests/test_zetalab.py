@@ -312,6 +312,11 @@ def test_find_zeros_empty_below_first():
     assert find_zeros(5.0).ordinates == ()
 
 
+def test_find_zeros_below_one_grid_step():
+    # t_max under the grid step leaves no grid points, only t_max itself
+    assert find_zeros(0.03).ordinates == ()
+
+
 def test_find_zeros_validation():
     with pytest.raises(ValueError):
         find_zeros(100.0, grid=0.2)
@@ -511,7 +516,8 @@ def test_grid_route_matches_direct_ragged_grid(t0, step, phase_rows):
     base = np.array([0.5])
     shifts = t0 + np.arange(1100) * step
     chunks = list(_grid_chunks(base, shifts, step))
-    assert [sl.stop - sl.start for sl, _ in chunks] == [512, 512, 76]
+    assert [sl.stop - sl.start for sl, _ in chunks] == [
+        phase_rows, phase_rows, 1100 - 2 * phase_rows]
     assert chunks[0][1].shape[0] == phase_rows
     for sl, phases in chunks:
         grid_vals, grid_err = _em_block(base, shifts[sl], 1e-12, phases)
