@@ -151,6 +151,8 @@ def _lattice_from_args(args):
 
 
 def _site_of(lattice, x: float) -> int:
+    if not math.isfinite(x):
+        raise ValueError(f"position must be finite, got {x}")
     j = int(round((x - lattice.x_min) / lattice.delta))
     if not (0 <= j < lattice.n_sites):
         raise ValueError(f"position {x} outside the lattice window")

@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 _CHUNK = 20000  # paths sampled per block; fixed so ensembles are seed-stable
+_TINY = np.finfo(float).tiny  # smallest normal double; kernels store 0 below it
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,13 @@ class PathEnsemble:
 
 def _free_gaussian(lattice: LoopLattice) -> np.ndarray:
     """Free one-step matrix sqrt(m/2 pi hbar eps) e^{-m d^2/2 hbar eps} delta,
-    with d the boundary-aware distance (periodic images or two mirrors)."""
+    with d the boundary-aware distance (periodic images or two mirrors).
+
+    The Gaussian tail underflows into subnormal doubles, and every product
+    with one takes the CPU's slow path, so entries below the smallest
+    normal double (_TINY) are stored as 0.  The test is per entry, so the
+    matrix stays symmetric to the bit.
+    """
     x = lattice.sites()
     m, hb, eps, d = lattice.mass, lattice.hbar, lattice.eps, lattice.delta
     pref = math.sqrt(m / (2.0 * math.pi * hb * eps)) * d
@@ -164,15 +171,20 @@ def _free_gaussian(lattice: LoopLattice) -> np.ndarray:
         g = (np.exp(-scale * diff ** 2)
              + np.exp(-scale * (ssum - 2.0 * lattice.x_min) ** 2)
              + np.exp(-scale * (ssum - 2.0 * lattice.x_max) ** 2))
-    return pref * g
+    g *= pref
+    g[g < _TINY] = 0.0
+    return g
 
 
 def build_kernel(lattice: LoopLattice) -> TransferKernel:
     """Free Gaussian step dressed with e^{-eps u/2 hbar} on both sides,
-    which keeps the matrix exactly symmetric."""
+    which keeps the matrix exactly symmetric.  The dressing can push normal
+    entries below _TINY, so those are stored as 0 again, as in
+    _free_gaussian."""
     u = np.asarray(lattice.potential)
     half = np.exp(-lattice.eps * u / (2.0 * lattice.hbar))
     mat = np.outer(half, half) * lattice.free_kernel.matrix
+    mat[mat < _TINY] = 0.0
     return TransferKernel(matrix=mat, eps=lattice.eps, delta=lattice.delta)
 
 
@@ -303,7 +315,13 @@ def _sample_bridge(g: np.ndarray, start: int, end: int, n_steps: int,
     row has the same count of entries below u, and one branchless
     lower-bound search of log2(W) halvings finds it for every path at
     once.  Halving s reads the view flat[s - 1:], and the search moves at
-    most W - 1 past the row start, so the count is pos mod W.
+    most W - 1 past the row start, so the count is pos mod W; row totals
+    come from the 1-D view of column n - 1.  G is a kernel matrix, so no
+    subnormal entry of it slows the products with b (see _free_gaussian).
+
+    Sites are written into a step-major (n_steps + 1, n_paths) scratch
+    array, one contiguous row per step, and returned as one C-order
+    (n_paths, n_steps + 1) transpose.
     """
     n = g.shape[0]
     e_end = np.zeros(n)
@@ -312,23 +330,24 @@ def _sample_bridge(g: np.ndarray, start: int, end: int, n_steps: int,
     width = 1 << n.bit_length()
     buf = np.full((n, width), np.inf)
     flat = buf.reshape(-1)
+    totals = buf[:, n - 1]
     halvings = [(width >> i, flat[(width >> i) - 1:])
                 for i in range(1, width.bit_length())]
-    paths = np.empty((n_paths, n_steps + 1), dtype=np.int64)
-    paths[:, 0] = start
-    paths[:, n_steps] = end
+    steps = np.empty((n_steps + 1, n_paths), dtype=np.int64)
+    steps[0] = start
+    steps[n_steps] = end
     for lo in range(0, n_paths, _CHUNK):
-        cur = np.full(min(_CHUNK, n_paths - lo), start, dtype=np.int64)
+        hi = min(lo + _CHUNK, n_paths)
+        cur = steps[0, lo:hi]
         for k in range(1, n_steps):
             r0, r1 = cur.min(), cur.max() + 1
             np.cumsum(g[r0:r1] * b[n_steps - k], axis=1, out=buf[r0:r1, :n])
-            u = rng.random(cur.size) * buf[cur, n - 1]
+            u = rng.random(cur.size) * totals.take(cur)
             pos = cur * width
             for step, ahead in halvings:
                 pos += step * (ahead[pos] < u)
-            cur = np.minimum(pos & (width - 1), n - 1)
-            paths[lo: lo + cur.size, k] = cur
-    return paths
+            cur = np.minimum(pos & (width - 1), n - 1, out=steps[k, lo:hi])
+    return np.ascontiguousarray(steps.T)
 
 
 def sample_paths(lattice: LoopLattice, n_paths: int, n_steps: int, seed: int,

@@ -506,6 +506,14 @@ def test_loops_propagator_rejects_offgrid_start(capsys):
     assert dispatch(["loops", "propagator", *LAT, "--x0", "9.5"]) == 1
 
 
+@pytest.mark.parametrize("command", ("propagator", "sample"))
+@pytest.mark.parametrize("x0", ("nan", "inf", "-inf"))
+def test_loops_reject_non_finite_start_by_name(capsys, command, x0):
+    assert dispatch(["loops", command, *LAT, f"--x0={x0}"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: position must be finite, got {float(x0)}\n")
+
+
 def test_loops_propagator_rejects_zero_steps(capsys):
     assert dispatch(["loops", "propagator", *LAT, "--steps", "0"]) == 1
 
@@ -787,8 +795,8 @@ PINNED = {
         "a2359b8942d30f08677a7764c901959e121d8df96b17fc103ee24c6c3809900a",
         "0108fbe4c394c53f7459e8ce8ed3ac476f264b94160fe8e41eb2e2fe45fb251a"),
     f"loops propagator {_LAT} --steps 3 --all-steps": (
-        "dc951d583f6c1e68367be058d191f2d5f1ffd45970ae5d1988d1e4b27426e0d7",
-        "4f55bcd6b0a01717b9c65acd3098d8a027548999479a40d3f45cf3bc434ba1c2"),
+        "404a657e03494ce34e2ebf4c6fe42569184711a9991fbb5f2991df34093b740e",
+        "3c206bc4599033ae0fc20099295b993ce71d12c4f88baf3c103f7382075ee6ee"),
     f"loops sample {_LAT} --paths 200 --steps 10 --seed 3": (
         "d54985a001fa87db172a5b412fbd1308ef248eae68afda2d59aee0ce8b97f2b5",
         "9a799556d39b226f07adb3d2134623ae894927da43894bacb40b6a499232bc60"),

@@ -41,10 +41,11 @@ HARMONIC_TRACE_T1 = 0.95951737566747186
 HARMONIC_TRACE_T05 = 1.9793175816510002
 FREE_Q_0_04_T1 = 0.36827014030332331
 
-# sha256 over test_loopgas_battery_hash_pinned's battery, taken before
-# propagator became the last slice of propagator_slices
+# sha256 over test_loopgas_battery_hash_pinned's battery at 2 BLAS threads,
+# retaken once kernels stored their subnormal entries as 0 (four slice
+# values, 2.7e-321 before, became 0)
 LOOPGAS_BATTERY_SHA256 = (
-    "4a9e47963be27b51f541267d4e0d379ad47d47ea3e2729d05e1f5ca9292b7566")
+    "b3a5a4ced257a0fdf5d1fda4fdea8964f26aab348eb220b3b967967508425587")
 
 # sha256 of sample_paths(harmonic 161-site lattice, 2000, 100, seed=5,
 # mode="loop").paths as produced by the gather/cumsum reference route
@@ -137,6 +138,22 @@ def test_kernel_positive_entries_periodic_free():
     with pytest.warns(UserWarning):
         lat = make_lattice(-2.0, 2.0, 41, 0.25)
     assert np.all(build_kernel(lat).matrix > 0.0)
+
+
+@pytest.mark.parametrize("n_sites, eps, boundary, potential", [
+    (161, 0.01, "periodic", lambda x: 0.5 * x * x),  # criterion 09
+    (201, 0.005, "periodic", lambda x: 0.5 * x * x),
+    (201, 0.005, "reflecting", lambda x: 0.5 * x * x),
+    (161, 0.01, "periodic", lambda x: 2000.0 * x * x),  # dressing underflows
+])
+def test_kernels_have_no_subnormal_entries(n_sites, eps, boundary, potential):
+    lat = _quiet_lattice(-8.0, 8.0, n_sites, eps, potential=potential,
+                         boundary=boundary)
+    tiny = np.finfo(float).tiny
+    for k in (lat.free_kernel, build_kernel(lat)):
+        m = k.matrix
+        assert np.all((m == 0.0) | (m >= tiny))
+        assert np.array_equal(m, m.T)
 
 
 def test_kernel_matrix_read_only():
@@ -493,6 +510,19 @@ def test_sampling_reproducible(fine_harmonic):
     d = sample_paths(lat, 400, 30, seed=11, mode="open")
     e = sample_paths(lat, 400, 30, seed=11, mode="open")
     assert np.array_equal(d.paths, e.paths)
+
+
+@pytest.mark.parametrize("n_paths", (300, _CHUNK + 77))
+def test_loop_paths_layout_and_weights(n_paths):
+    lat = _quiet_lattice(-2.0, 2.0, 41, 0.05, potential=lambda x: x * x)
+    ens = sample_paths(lat, n_paths, 20, seed=8, mode="loop")
+    assert ens.paths.shape == (n_paths, 21)
+    assert ens.paths.dtype == np.int64 and ens.paths.flags.c_contiguous
+    # the weight sum reads rows; a fresh C-order copy gives the same bits
+    p = np.array(ens.paths, order="C")
+    u = np.asarray(lat.potential)
+    s = u[p].sum(axis=1) - 0.5 * (u[p[:, 0]] + u[p[:, -1]])
+    assert np.array_equal(ens.weights, np.exp(-lat.eps * s / lat.hbar))
 
 
 def test_sampling_validation(fine_free):
