@@ -258,20 +258,22 @@ def fluctuation_bound(beta: float, dt: float, mass: float = 1.0,
                       hbar: float = 1.0) -> float:
     """Spatial fluctuation budget (beta*hbar/dt - 1) dt^2/m inside the
     quantum window 0 < dt <= beta*hbar; the window edge is thermal_time."""
-    if not (beta > 0.0 and mass > 0.0 and hbar > 0.0):
-        raise ValueError("beta, mass, hbar must be positive")
-    if not (0.0 < dt <= beta * hbar):
+    tau = thermal_time(beta, hbar)
+    if not (mass > 0.0 and math.isfinite(mass)):
+        raise ValueError(f"mass must be finite and positive, got {mass}")
+    if not (0.0 < dt <= tau):
         raise ValueError(
             f"dt = {dt} outside the quantum window (0, beta*hbar = "
-            f"{beta * hbar}]; beyond it the spread is thermodynamic")
-    return (beta * hbar / dt - 1.0) * dt * dt / mass
+            f"{tau}]; beyond it the spread is thermodynamic")
+    return (tau / dt - 1.0) * dt * dt / mass
 
 
 def thermal_time(beta: float, hbar: float = 1.0) -> float:
     """The parting scale tau = beta*hbar between loop-dominated and
     thermodynamic fluctuations (k_B absorbed into beta)."""
-    if not (beta > 0.0 and hbar > 0.0):
-        raise ValueError("beta and hbar must be positive")
+    for name, x in (("beta", beta), ("hbar", hbar)):
+        if not (x > 0.0 and math.isfinite(x)):
+            raise ValueError(f"{name} must be finite and positive, got {x}")
     return beta * hbar
 
 

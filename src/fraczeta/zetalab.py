@@ -27,7 +27,10 @@ f is zeta itself).
 from __future__ import annotations
 
 import cmath
+import ctypes
+import functools
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -174,54 +177,67 @@ def _cutoff(base: np.ndarray, shifts: np.ndarray) -> int:
                                     + shifts[:, None]).max()))
 
 
+def _dirichlet_table(base: np.ndarray, n_used: int):
+    """log n, p = n^{-b_j} (real for a real base) and |p| for n < n_used."""
+    n = np.arange(1, n_used, dtype=float)
+    log_n = np.log(n)
+    p = (np.exp(-np.outer(log_n, base)) if np.iscomplexobj(base)
+         else n[:, None] ** -base)
+    return log_n, p, np.abs(p)
+
+
 def _em_block(base: np.ndarray, shifts: np.ndarray, tol: float,
-              phases: np.ndarray | None = None, cutoff: int | None = None):
+              grid: tuple | None = None, cutoff: int | None = None):
     """zeta(b_j + i t_k) for base points b_j and ordinate shifts t_k.
 
     Returns (values, err), both shaped (shifts, base).  The whole block
     shares one cutoff N (default _cutoff(base, shifts)); the main sum is factored
-    as exp(-i t_k log n) @ n^{-b_j}, with n^{-b_j} kept real when the base
-    is real.  For shifts t_k = t_0 + k*step on a grid, phases may hold
-    the grid factor exp(-i k step log n) for at least as many k as there
-    are shifts (see _grid_chunks); the main sum is then
+    as exp(-i t_k log n) @ n^{-b_j}.  On a grid t_k = t_0 + k*step, grid
+    may hold what _grid_chunks yields: the factor phases[k, n-1] =
+    exp(-i k step log n) for at least as many k as there are shifts, and a
+    _dirichlet_table of at least N-1 rows; the main sum is then
     phases @ (exp(-i t_0 log n) n^{-b_j}).  Bernoulli terms are
     added until the remainder bound drops to tol everywhere or the terms
     stop shrinking; err is that bound plus twice the float-noise floor.
+    The entry of largest |s| is tried first, in Python floats with a 1e-6
+    margin (far above their few-ulp gap to numpy's); the full-array tests
+    run only where it cannot rule a stop out, and at the last term.
     """
     s = base[None, :] + 1j * shifts[:, None]
     n_used = _cutoff(base, shifts) if cutoff is None else cutoff
-    n = np.arange(1, n_used, dtype=float)
-    log_n = np.log(n)
-    if np.iscomplexobj(base):
-        p = np.exp(-np.outer(log_n, base))
-    else:
-        p = n[:, None] ** -base
-    if phases is None:
+    if grid is None:
+        log_n, p, mags = _dirichlet_table(base, n_used)
         main = np.exp(-1j * np.outer(shifts, log_n)) @ p
     else:
-        main = (phases[:shifts.size, :n.size]
+        phases, *table = grid
+        log_n, p, mags = (a[:n_used - 1] for a in table)
+        main = (phases[:shifts.size, :n_used - 1]
                 @ (np.exp(-1j * shifts[0] * log_n)[:, None] * p))
-    sigma = s.real
     big_n = float(n_used)
     ninvs = np.exp(-s * math.log(big_n))           # N^{-s}
     corr = ninvs * (big_n / (s - 1.0) + 0.5)
     rising = s                                     # (s)_1
     npow = ninvs / big_n                           # N^{-s-1}
     inv_n2 = 1.0 / (big_n * big_n)
-    prev_mag = np.inf
+    probe = int(np.argmax(np.abs(s)))
+    s_p = s.item(probe)
+    prev, prev_p = np.inf, math.inf    # last term added, |its probe entry|
     for k in range(1, _M_CAP + 1):
         term = _B2F[k] * rising * npow
-        mag = np.abs(term)
-        bound = np.abs(s + (2 * k - 1)) / (sigma + (2 * k - 1)) * mag
-        if (bound <= tol).all() or (mag >= prev_mag).all():
-            break                                  # converged, or divergent tail
+        mag_p = abs(term.item(probe))
+        bound_p = abs(s_p + (2 * k - 1)) / (s_p.real + (2 * k - 1)) * mag_p
+        if (k == _M_CAP or bound_p <= tol * (1.0 + 1e-6)
+                or mag_p >= prev_p * (1.0 - 1e-6)):
+            mag = np.abs(term)
+            bound = np.abs(s + (2 * k - 1)) / (s.real + (2 * k - 1)) * mag
+            if (bound <= tol).all() or (mag >= np.abs(prev)).all():
+                break                          # converged, or divergent tail
         corr = corr + term
-        prev_mag = mag
+        prev, prev_p = term, mag_p
         rising = rising * ((s + (2 * k - 1)) * (s + 2 * k))
         npow = npow * inv_n2
     # float-noise floor: each term n^{-s} carries a phase rounded through
     # t*log n, so its absolute error scales like eps*|term|*(1 + |t| log n)
-    mags = np.abs(p)
     noise = _EPS * (mags.sum(axis=0) + np.abs(s.imag) * (log_n @ mags)
                     + np.abs(corr))
     return main + corr, bound + 2.0 * noise
@@ -233,18 +249,19 @@ def _grid_chunks(base: np.ndarray, shifts: np.ndarray, step: float):
     cutoff would pass _GRID_CELLS entries; each chunk is one cutoff and one
     product in _em_block.
 
-    Yields (slice, phases) per chunk, where phases[k, n-1] =
-    exp(-i k step log n), k below the chunk length, is the grid factor
-    _em_block takes, built once with columns for the grid's largest cutoff.
+    Yields (slice, grid) per chunk, where grid is what _em_block takes:
+    the grid factor phases[k, n-1] = exp(-i k step log n), k below the
+    chunk length, then the _dirichlet_table, both built once with columns
+    (rows) for the grid's largest cutoff.
     """
     if shifts.size == 0:
         return
     n_max = _cutoff(base, shifts[[0, -1]])         # |Im b + t| peaks at an end
     rows = max(1, min(_GRID_ROWS, _GRID_CELLS // n_max))
-    log_n = np.log(np.arange(1, n_max, dtype=float))
-    phases = np.exp(-1j * np.outer(np.arange(rows) * step, log_n))
+    table = _dirichlet_table(base, n_max)
+    grid = (np.exp(-1j * np.outer(np.arange(rows) * step, table[0])), *table)
     for lo in range(0, shifts.size, rows):
-        yield slice(lo, min(lo + rows, shifts.size)), phases
+        yield slice(lo, min(lo + rows, shifts.size)), grid
 
 
 def _finite_s(s) -> complex:
@@ -351,11 +368,11 @@ def _rs_theta(t):
     return out
 
 
-def _z_block(t_block: np.ndarray, phases: np.ndarray | None = None,
+def _z_block(t_block: np.ndarray, grid: tuple | None = None,
              cutoff: int | None = None):
     """Z(t) and its error bound on an ascending array of positive
-    ordinates, one shared N; phases and cutoff as in _em_block."""
-    vals, err = _em_block(np.array([0.5]), t_block, _Z_TOL, phases, cutoff)
+    ordinates, one shared N; grid and cutoff as in _em_block."""
+    vals, err = _em_block(np.array([0.5]), t_block, _Z_TOL, grid, cutoff)
     return (np.exp(1j * _rs_theta(t_block)) * vals[:, 0]).real, err[:, 0]
 
 
@@ -537,8 +554,8 @@ def _z_scan(t_max: float, grid: float):
         ts = np.append(ts, t_max)
     z, gate = np.empty_like(ts), np.empty_like(ts)
     first = min(k, _GRID_ROWS * int(np.sum(ts[:k:_GRID_ROWS] < _RS_T_MIN)))
-    for sl, phases in _grid_chunks(np.array([0.5]), ts[:first], grid):
-        z[sl], gate[sl] = _z_block(ts[sl], phases)
+    for sl, chunk in _grid_chunks(np.array([0.5]), ts[:first], grid):
+        z[sl], gate[sl] = _z_block(ts[sl], chunk)
     z[first:], gate[first:], n_scalar = _certified_z(ts[first:])
     return ts, z, gate, n_scalar
 
@@ -653,23 +670,51 @@ def pair_correlation(unfolded, max_sep: float, bins: int) -> PairCorrelation:
                            n_positions=int(x.size), pair_count=total)
 
 
+@functools.cache
+def _dsterf():
+    """LAPACK dsterf (ILP64) in the OpenBLAS numpy ships in numpy.libs and
+    has loaded, or None; RTLD_NOLOAD never maps a second copy."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for name in os.listdir(libs) if os.path.isdir(libs) else ():
+        try:
+            fn = ctypes.CDLL(os.path.join(libs, name),
+                             mode=os.RTLD_NOLOAD).scipy_dsterf_64_
+        except (AttributeError, OSError):        # not loaded, or no dsterf
+            continue
+        vec = np.ctypeslib.ndpointer(np.float64, flags="C,W")
+        fn.argtypes = [ctypes.POINTER(ctypes.c_int64), vec, vec,
+                       ctypes.POINTER(ctypes.c_int64)]
+        fn.restype = None
+        return fn
+    return None
+
+
 def gue_eigenvalues(dim: int, seed) -> np.ndarray:
     """Eigenvalues of one GUE draw by the beta = 2 Hermite tridiagonal model
     (Dumitriu & Edelman, J. Math. Phys. 43 (2002) 5830-5847): N(0,1) diagonal,
     off-diagonal sqrt(chi2_2k / 2), k = dim-1..1, as Householder reduces the
     dense GUE (N(0,1) diagonal, (x+iy)/sqrt(2) above): same law and radius
-    2 sqrt(dim).  LAPACK runs dense on it, O(dim^3) time, O(dim^2) memory;
-    importing scipy's O(dim^2) banded solver costs more than it saves."""
+    2 sqrt(dim).  LAPACK's dsterf solves it in O(dim^2) time, O(dim) memory,
+    on no BLAS thread.  Dense eigvalsh, the route where numpy's BLAS has no
+    dsterf, gives the same bits: its Householder pass leaves a tridiagonal
+    matrix as it is, then it calls dsterf."""
     rng = np.random.default_rng(seed)
-    h = np.diag(rng.standard_normal(dim))
+    d = rng.standard_normal(dim)
     e = np.sqrt(rng.chisquare(2.0 * np.arange(dim - 1, 0, -1)) / 2.0)
+    dsterf = _dsterf()
+    if dsterf is not None:
+        lam, off, info = d.copy(), e.copy(), ctypes.c_int64()  # overwritten
+        dsterf(ctypes.byref(ctypes.c_int64(dim)), lam, off, ctypes.byref(info))
+        if info.value == 0:
+            return lam
+    h = np.diag(d)
     h.flat[1::dim + 1] = h.flat[dim::dim + 1] = e
     return np.linalg.eigvalsh(h)
 
 
 def gue_sample(dim: int, trials: int, seed: int) -> np.ndarray:
     """Unfolded central-bulk GUE eigenvalue positions, trials concatenated:
-    each trial, one gue_eigenvalues draw (O(dim^3) time, O(dim^2) memory),
+    each trial, one gue_eigenvalues draw (O(dim^2) time, O(dim) memory),
     is unfolded by F(x) = 1/2 + x sqrt(R^2-x^2)/(pi R^2) + asin(x/R)/pi,
     R = 2 sqrt(dim), times dim; its middle half is shifted by trial_index*dim,
     ~dim/2 clear of other trials for any max_sep.  Deterministic per seed.
@@ -794,8 +839,8 @@ def universality_scan(region: Disc, target, epsilon: float,
     tvals = np.arange(k_steps, dtype=float) * t_step
     sup = np.empty(k_steps)
     err = np.empty(k_steps)
-    for sl, phases in _grid_chunks(pts, tvals, t_step):
-        vals, bounds = _em_block(pts, tvals[sl], 1e-10, phases)
+    for sl, grid in _grid_chunks(pts, tvals, t_step):
+        vals, bounds = _em_block(pts, tvals[sl], 1e-10, grid)
         sup[sl] = np.max(np.abs(vals - tgt[None, :]), axis=1)
         err[sl] = np.max(bounds, axis=1)
     hits = sup < epsilon

@@ -10,6 +10,7 @@ from fraczeta.cli import build_parser
 from fraczeta.eprspace import trace_exp
 from fraczeta.fracdyn import (SHIFT_U, SHIFT_V, TwistedShift, arc_fit,
                               gl_fracderiv, gl_weights, twisted_compose)
+from fraczeta.loopgas import fluctuation_bound, thermal_time
 from fraczeta.zetalab import (Disc, ZeroList, euler_product, mean_zero_count,
                               pair_correlation, partial_zeta, spectral_zeta)
 
@@ -49,6 +50,15 @@ def _handler(*argv):
                  id="TwistedShift"),
     pytest.param(lambda: twisted_compose(SHIFT_U, SHIFT_V, math.inf),
                  "delta", id="twisted_compose"),
+    pytest.param(lambda: fluctuation_bound(1.0, 0.5, mass=math.inf), "mass",
+                 id="fluctuation_bound_mass"),
+    pytest.param(lambda: thermal_time(math.inf), "beta", id="thermal_time"),
+    pytest.param(lambda: thermal_time(1.0, math.nan), "hbar",
+                 id="thermal_time_hbar"),
+    pytest.param(lambda: _handler("loops", "fluct", "--beta", "inf"), "beta",
+                 id="cli_loops_fluct_beta"),
+    pytest.param(lambda: _handler("loops", "fluct", "--hbar", "inf"), "hbar",
+                 id="cli_loops_fluct_hbar"),
     pytest.param(lambda: _handler("twist", "1", "2", "nan", "3", "4", "0",
                                   "--delta", "0.1"), "theta", id="cli_twist"),
 ])

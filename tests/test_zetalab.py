@@ -6,6 +6,7 @@ Reference values were generated once with tests/oracles/zeta_reference.py
 
 import hashlib
 import importlib.util
+import json
 import math
 import os
 import subprocess
@@ -92,6 +93,7 @@ def _load_oracle(name):
 
 
 bisect_reference = _load_oracle("bisect_reference")
+em_tail_reference = _load_oracle("em_tail_reference")
 gue_dense = _load_oracle("gue_dense")
 siegelz_reference = _load_oracle("siegelz_reference")
 
@@ -518,11 +520,57 @@ def test_grid_route_matches_direct_ragged_grid(t0, step, phase_rows):
     chunks = list(_grid_chunks(base, shifts, step))
     assert [sl.stop - sl.start for sl, _ in chunks] == [
         phase_rows, phase_rows, 1100 - 2 * phase_rows]
-    assert chunks[0][1].shape[0] == phase_rows
+    assert chunks[0][1][0].shape[0] == phase_rows
     for sl, phases in chunks:
         grid_vals, grid_err = _em_block(base, shifts[sl], 1e-12, phases)
         vals, err = _em_block(base, shifts[sl], 1e-12)
         _assert_each_within_the_others_err(grid_vals, grid_err, vals, err)
+
+
+_EXITS = ("converged", "stopped shrinking", "cap")
+
+
+def _tail_block(shape, exit_):
+    """(base, shifts, tol, grid, cutoff) of one seeded block whose Bernoulli
+    loop ends by exit_, in one of the shapes _em_block is called on."""
+    rng = np.random.default_rng(_EXITS.index(exit_))
+    if shape == "split chunk":
+        # ordinates 10..200 at N = 30: the top stops shrinking at once while
+        # the bottom converges, so the full-array test runs at every term
+        shifts = np.sort(rng.uniform(10.0, 200.0, _BISECT_CHUNK))
+        return np.array([0.5]), shifts, 1e-15, None, 30
+    tol = 1e-300 if exit_ == "cap" else 1e-12
+    cutoff = 20 if exit_ == "stopped shrinking" else None
+    t0 = 1000.0 if exit_ == "stopped shrinking" else rng.uniform(1.0, 20.0)
+    if shape == "grid":
+        # 512 x 33 complex base, as universality_scan hands it over
+        pts = region_grid(Disc(complex(0.75, rng.uniform(-0.3, 0.3)), 0.05))
+        shifts = t0 + np.arange(1200) * 0.05
+        sl, grid = next(_grid_chunks(pts, shifts, 0.05))
+        return pts, shifts[sl], tol, grid, cutoff
+    base = np.array([rng.uniform(0.05, 2.0)])
+    if shape == "point":
+        return base, np.array([t0]), tol, None, cutoff
+    shifts = np.sort(t0 + rng.uniform(0.0, 20.0, _BISECT_CHUNK))  # as _z_fast
+    if exit_ == "converged":
+        cutoff = max(20, math.ceil(shifts.max() / math.pi))
+    return base, shifts, tol, None, cutoff
+
+
+@pytest.mark.parametrize("shape, exit_", [
+    *((shape, exit_) for shape in ("point", "chunk", "grid")
+      for exit_ in _EXITS),
+    ("split chunk", "cap"),
+])
+def test_em_tail_matches_full_array_stop_test_bit_for_bit(shape, exit_):
+    base, shifts, tol, grid, cutoff = _tail_block(shape, exit_)
+    phases = None if grid is None else grid[0]
+    want, want_err, how = em_tail_reference.em_block(base, shifts, tol,
+                                                     phases, cutoff)
+    assert how == exit_
+    got, got_err = _em_block(base, shifts, tol, grid, cutoff)
+    assert got.tobytes() == want.tobytes()
+    assert got_err.tobytes() == want_err.tobytes()
 
 
 def test_grid_route_off_axis_disc():
@@ -754,6 +802,60 @@ def test_gue_tridiagonal_matches_dense_in_law():
     se = np.hypot(tri.std(axis=0, ddof=1),
                   dense.std(axis=0, ddof=1)) / math.sqrt(len(tri))
     assert np.all(np.abs(tri.mean(axis=0) - dense.mean(axis=0)) <= 4.0 * se)
+
+
+def _gue_tridiagonal(dim, seed):
+    """The (d, e) gue_eigenvalues draws for (dim, seed), as a dense matrix."""
+    rng = np.random.default_rng(seed)
+    h = np.diag(rng.standard_normal(dim))
+    e = np.sqrt(rng.chisquare(2.0 * np.arange(dim - 1, 0, -1)) / 2.0)
+    h.flat[1::dim + 1] = h.flat[dim::dim + 1] = e
+    return h
+
+
+_NUMPY_LIBS = Path(np.__file__).parent.parent / "numpy.libs"
+
+
+@pytest.mark.parametrize("dim", [20, 40, 200, 1000])
+def test_gue_dsterf_route_equals_dense_eigvalsh_bit_for_bit(dim, monkeypatch):
+    if not any(_NUMPY_LIBS.glob("libscipy_openblas64_*")):
+        pytest.skip("numpy ships no scipy-openblas; only the dense route runs")
+    assert zetalab._dsterf() is not None
+    for seed in (3, 1000 + dim):
+        dense = np.linalg.eigvalsh(_gue_tridiagonal(dim, seed))
+        assert gue_eigenvalues(dim, seed).tobytes() == dense.tobytes()
+        with monkeypatch.context() as mp:
+            mp.setattr(zetalab, "_dsterf", lambda: None)
+            assert gue_eigenvalues(dim, seed).tobytes() == dense.tobytes()
+
+
+_OPENBLAS_MAPS = """
+import json
+from fraczeta.zetalab import gue_sample
+
+def openblas():
+    with open("/proc/self/maps") as maps:
+        return sorted(line.split()[-1] for line in maps if "openblas" in line)
+
+before = openblas()
+gue_sample(40, 2, 1)
+print(json.dumps({"before": before, "after": openblas()}))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc/self/maps")
+def test_gue_route_maps_no_second_openblas():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", _OPENBLAS_MAPS], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["after"] == out["before"]
+    assert len(set(out["after"])) <= 1
+    assert not any("scipy.libs" in path for path in out["after"])
 
 
 _GUE_HASH = ("import hashlib; from fraczeta.zetalab import gue_sample; "
