@@ -19,6 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _blas
+
 _CHUNK = 20000  # paths sampled per block; fixed so ensembles are seed-stable
 _TINY = np.finfo(float).tiny  # smallest normal double; kernels store 0 below it
 
@@ -117,8 +119,9 @@ class TransferKernel:
     @cached_property
     def spectrum(self) -> np.ndarray:
         """Eigenvalues of the symmetric matrix, ascending, from one
-        eigensolve shared by every loop integral on this kernel."""
-        lam = np.linalg.eigvalsh(self.matrix)
+        eigensolve shared by every loop integral on this kernel, run on one
+        BLAS thread so its bits do not depend on the thread count."""
+        lam = _blas.one_thread(np.linalg.eigvalsh)(self.matrix)
         lam.flags.writeable = False
         return lam
 

@@ -28,15 +28,14 @@ from __future__ import annotations
 
 import cmath
 import ctypes
-import functools
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from itertools import zip_longest
 
 import numpy as np
 
+from . import _blas
 from .eprspace import primes_upto
 
 _EPS = 2.220446049250313e-16
@@ -186,6 +185,7 @@ def _dirichlet_table(base: np.ndarray, n_used: int):
     return log_n, p, np.abs(p)
 
 
+@_blas.one_thread
 def _em_block(base: np.ndarray, shifts: np.ndarray, tol: float,
               grid: tuple | None = None, cutoff: int | None = None):
     """zeta(b_j + i t_k) for base points b_j and ordinate shifts t_k.
@@ -196,7 +196,11 @@ def _em_block(base: np.ndarray, shifts: np.ndarray, tol: float,
     may hold what _grid_chunks yields: the factor phases[k, n-1] =
     exp(-i k step log n) for at least as many k as there are shifts, and a
     _dirichlet_table of at least N-1 rows; the main sum is then
-    phases @ (exp(-i t_0 log n) n^{-b_j}).  Bernoulli terms are
+    phases @ (exp(-i t_0 log n) n^{-b_j}).  N^{-s} is the rank-one product
+    exp(-b_j log N) exp(-i t_k log N), both complex exps; for a real base
+    that is the arithmetic of exp(-s log N) entry by entry, bit for bit.
+    It runs on one BLAS thread, so its bits do not depend on the process's
+    thread count.  Bernoulli terms are
     added until the remainder bound drops to tol everywhere or the terms
     stop shrinking; err is that bound plus twice the float-noise floor.
     The entry of largest |s| is tried first, in Python floats with a 1e-6
@@ -214,7 +218,9 @@ def _em_block(base: np.ndarray, shifts: np.ndarray, tol: float,
         main = (phases[:shifts.size, :n_used - 1]
                 @ (np.exp(-1j * shifts[0] * log_n)[:, None] * p))
     big_n = float(n_used)
-    ninvs = np.exp(-s * math.log(big_n))           # N^{-s}
+    log_big_n = math.log(big_n)
+    ninvs = (np.exp(-base.astype(complex) * log_big_n)[None, :]   # N^{-s}
+             * np.exp(-1j * log_big_n * shifts)[:, None])
     corr = ninvs * (big_n / (s - 1.0) + 0.5)
     rising = s                                     # (s)_1
     npow = ninvs / big_n                           # N^{-s-1}
@@ -252,14 +258,28 @@ def _grid_chunks(base: np.ndarray, shifts: np.ndarray, step: float):
     Yields (slice, grid) per chunk, where grid is what _em_block takes:
     the grid factor phases[k, n-1] = exp(-i k step log n), k below the
     chunk length, then the _dirichlet_table, both built once with columns
-    (rows) for the grid's largest cutoff.
+    (rows) for the grid's largest cutoff.  The factor is the product of
+    two short tables, exp(-i (k - k % f) step log n) exp(-i (k % f) step
+    log n) with f about the square root of its rows (32 of 512), written f
+    rows at a time into one array of exactly its rows, so it holds no more
+    than _GRID_CELLS entries.
     """
     if shifts.size == 0:
         return
     n_max = _cutoff(base, shifts[[0, -1]])         # |Im b + t| peaks at an end
     rows = max(1, min(_GRID_ROWS, _GRID_CELLS // n_max))
     table = _dirichlet_table(base, n_max)
-    grid = (np.exp(-1j * np.outer(np.arange(rows) * step, table[0])), *table)
+    fine = 1 << ((rows - 1).bit_length() + 1) // 2
+
+    def phase(k):
+        return np.exp(-1j * np.outer(k * step, table[0]))
+
+    coarse, short = phase(np.arange(0, rows, fine)), phase(np.arange(fine))
+    phases = np.empty((rows, n_max - 1), dtype=complex)
+    for j, lo in enumerate(range(0, rows, fine)):
+        part = phases[lo:lo + fine]
+        np.multiply(coarse[j], short[:len(part)], out=part)
+    grid = (phases, *table)
     for lo in range(0, shifts.size, rows):
         yield slice(lo, min(lo + rows, shifts.size)), grid
 
@@ -473,14 +493,19 @@ def _z_rs(t_block: np.ndarray):
     x = a - n_main - 0.5
     theta = _rs_theta(t)
     n = np.arange(1.0, n_main.max() + 1.0)
-    w = np.where(n[None, :] <= n_main[:, None], n ** -0.5, 0.0)
+    used = n[None, :] <= n_main[:, None]
+    w = np.where(used, n ** -0.5, 0.0)
     t_log_n = np.outer(t, np.log(n))
-    main = 2.0 * np.sum(w * np.cos(theta[:, None] - t_log_n), axis=1)
+    terms = np.cos(theta[:, None] - t_log_n, out=np.zeros_like(t_log_n),
+                   where=used)
+    terms *= w
+    main = 2.0 * np.sum(terms, axis=1)
     u = np.sqrt(_TWO_PI / t)
     x2 = x * x
     c_k = np.zeros((len(_RS_COEFFS), t.size))
     for coef in _RS_HORNER:
-        c_k = c_k * x2 + coef
+        c_k *= x2
+        c_k += coef
     c_k[1::2] *= x
     corr = c_k[-1]
     for k in range(len(_RS_COEFFS) - 2, -1, -1):
@@ -488,10 +513,10 @@ def _z_rs(t_block: np.ndarray):
     sign = np.where(n_main % 2 == 1.0, 1.0, -1.0)
     z[hi] = main + sign * np.sqrt(u) * corr
     d_theta = 4.0 * _EPS * (np.abs(theta) + t) + 127.0 / (430080.0 * t ** 7)
-    phase = (2.0 * d_theta + _EPS * (np.abs(theta) + 3.0 + n_main))[:, None] \
-        + 2.0 * _EPS * t_log_n
-    floor = 2.0 * np.sum(w * phase, axis=1) \
-        + np.sqrt(u) * _EPS * (128.0 + 16.0 * a)
+    phase = 2.0 * _EPS * t_log_n
+    phase += (2.0 * d_theta + _EPS * (np.abs(theta) + 3.0 + n_main))[:, None]
+    phase *= w
+    floor = 2.0 * np.sum(phase, axis=1) + np.sqrt(u) * _EPS * (128.0 + 16.0 * a)
     bound[hi] = 0.017 * t ** -2.75 + floor
     return z, bound
 
@@ -520,7 +545,10 @@ def _certified_z(t: np.ndarray):
 
     Two fast routes are tried in turn, each on the points the one before
     left open: _z_rs in blocks of _RS_SCAN_BLOCK, then _z_fast in chunks
-    of _BISECT_CHUNK.  A value stands only where |z| > gate = its bound +
+    of _BISECT_CHUNK.  No block holds points from both sides of _RS_T_MIN:
+    a _z_fast chunk's cutoff follows its largest t, and the points below,
+    all left open by _z_rs, would pay the cutoff of the few Riemann-Siegel
+    misses above.  A value stands only where |z| > gate = its bound +
     _z_scalar_bound_cap(t): both bounds cover Z as the scalar route
     rotates it, so its sign is the scalar route's.  The scalar route
     decides the other n_scalar points one at a time; gate is its bound.
@@ -529,10 +557,12 @@ def _certified_z(t: np.ndarray):
     cap = _z_scalar_bound_cap(t)
     open_ = np.arange(t.size)
     for route, size in ((_z_rs, _RS_SCAN_BLOCK), (_z_fast, _BISECT_CHUNK)):
-        for lo in range(0, open_.size, size):
-            i = open_[lo:lo + size]
-            z[i], bound = route(t[i])
-            gate[i] = bound + cap[i]
+        cut = np.searchsorted(t[open_], _RS_T_MIN)
+        for run in (open_[:cut], open_[cut:]):
+            for lo in range(0, run.size, size):
+                i = run[lo:lo + size]
+                z[i], bound = route(t[i])
+                gate[i] = bound + cap[i]
         open_ = open_[np.abs(z[open_]) <= gate[open_]]
     for i in open_:
         z[i:i + 1], gate[i:i + 1] = _z_block(t[i:i + 1])
@@ -670,25 +700,6 @@ def pair_correlation(unfolded, max_sep: float, bins: int) -> PairCorrelation:
                            n_positions=int(x.size), pair_count=total)
 
 
-@functools.cache
-def _dsterf():
-    """LAPACK dsterf (ILP64) in the OpenBLAS numpy ships in numpy.libs and
-    has loaded, or None; RTLD_NOLOAD never maps a second copy."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for name in os.listdir(libs) if os.path.isdir(libs) else ():
-        try:
-            fn = ctypes.CDLL(os.path.join(libs, name),
-                             mode=os.RTLD_NOLOAD).scipy_dsterf_64_
-        except (AttributeError, OSError):        # not loaded, or no dsterf
-            continue
-        vec = np.ctypeslib.ndpointer(np.float64, flags="C,W")
-        fn.argtypes = [ctypes.POINTER(ctypes.c_int64), vec, vec,
-                       ctypes.POINTER(ctypes.c_int64)]
-        fn.restype = None
-        return fn
-    return None
-
-
 def gue_eigenvalues(dim: int, seed) -> np.ndarray:
     """Eigenvalues of one GUE draw by the beta = 2 Hermite tridiagonal model
     (Dumitriu & Edelman, J. Math. Phys. 43 (2002) 5830-5847): N(0,1) diagonal,
@@ -698,10 +709,12 @@ def gue_eigenvalues(dim: int, seed) -> np.ndarray:
     on no BLAS thread.  Dense eigvalsh, the route where numpy's BLAS has no
     dsterf, gives the same bits: its Householder pass leaves a tridiagonal
     matrix as it is, then it calls dsterf."""
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)
     d = rng.standard_normal(dim)
     e = np.sqrt(rng.chisquare(2.0 * np.arange(dim - 1, 0, -1)) / 2.0)
-    dsterf = _dsterf()
+    dsterf = _blas.dsterf()
     if dsterf is not None:
         lam, off, info = d.copy(), e.copy(), ctypes.c_int64()  # overwritten
         dsterf(ctypes.byref(ctypes.c_int64(dim)), lam, off, ctypes.byref(info))

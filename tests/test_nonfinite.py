@@ -11,8 +11,9 @@ from fraczeta.eprspace import trace_exp
 from fraczeta.fracdyn import (SHIFT_U, SHIFT_V, TwistedShift, arc_fit,
                               gl_fracderiv, gl_weights, twisted_compose)
 from fraczeta.loopgas import fluctuation_bound, thermal_time
-from fraczeta.zetalab import (Disc, ZeroList, euler_product, mean_zero_count,
-                              pair_correlation, partial_zeta, spectral_zeta)
+from fraczeta.zetalab import (Disc, ZeroList, euler_product, gue_eigenvalues,
+                              mean_zero_count, pair_correlation, partial_zeta,
+                              spectral_zeta)
 
 
 def _handler(*argv):
@@ -46,6 +47,7 @@ def _handler(*argv):
     pytest.param(lambda: pair_correlation(
         np.r_[np.arange(200.0), math.nan], 3.0, 10), "positions",
         id="pair_correlation"),
+    pytest.param(lambda: gue_eigenvalues(0, 1), "dim", id="gue_eigenvalues"),
     pytest.param(lambda: TwistedShift(0, 1, math.inf), "theta",
                  id="TwistedShift"),
     pytest.param(lambda: twisted_compose(SHIFT_U, SHIFT_V, math.inf),
@@ -64,6 +66,6 @@ def _handler(*argv):
 ])
 def test_non_finite_input_is_a_named_error(call, name):
     # out-of-domain counts are not a finiteness question
-    what = ">= 1" if name == "n" else "finite"
+    what = ">= 1" if name in ("n", "dim") else "finite"
     with pytest.raises(ValueError, match=rf"^{name} must be {what}"):
         call()

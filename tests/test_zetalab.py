@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fraczeta import zetalab
+from fraczeta import _blas, zetalab
 from fraczeta.zetalab import (
     Disc,
     MissedZerosError,
@@ -573,6 +573,47 @@ def test_em_tail_matches_full_array_stop_test_bit_for_bit(shape, exit_):
     assert got_err.tobytes() == want_err.tobytes()
 
 
+@pytest.mark.parametrize("shape, exit_", [
+    *(("point", exit_) for exit_ in _EXITS),
+    *(("chunk", exit_) for exit_ in _EXITS),
+    ("split chunk", "cap"),
+    ("wide", "converged"),
+])
+def test_em_block_real_base_keeps_per_entry_n_power_bits(shape, exit_):
+    # for a real base the rank-one N^{-s} is exp(-s log N)'s arithmetic; in
+    # the wide block, 64 x 128 entries, numpy's real exp would differ
+    if shape == "wide":
+        rng = np.random.default_rng(64)
+        base, shifts = rng.uniform(0.05, 2.0, 64), np.sort(
+            rng.uniform(1.0, 40.0, _BISECT_CHUNK))
+        tol, grid, cutoff = 1e-12, None, None
+    else:
+        base, shifts, tol, grid, cutoff = _tail_block(shape, exit_)
+    want, want_err, _ = em_tail_reference.em_block(base, shifts, tol, None,
+                                                   cutoff, per_entry=True)
+    got, got_err = _em_block(base, shifts, tol, grid, cutoff)
+    assert got.tobytes() == want.tobytes()
+    assert got_err.tobytes() == want_err.tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_em_tail_stops_where_the_probe_bound_meets_tol(k):
+    # tol is the probe entry's remainder bound at term k, the largest in
+    # the block, so the full-array test converges at k exactly; a probe
+    # that ran it only further below tol would add term k as well
+    base, shifts, _, _, cutoff = _tail_block("chunk", "converged")
+    bound = em_tail_reference.tail_bound(base, shifts, k, cutoff)
+    tol = float(bound[np.argmax(shifts), 0])         # the largest |s|
+    assert tol == bound.max()
+    assert em_tail_reference.tail_bound(base, shifts, k - 1, cutoff).max() > tol
+    want, want_err, how = em_tail_reference.em_block(base, shifts, tol, None,
+                                                     cutoff)
+    assert how == "converged"
+    got, got_err = _em_block(base, shifts, tol, None, cutoff)
+    assert got.tobytes() == want.tobytes()
+    assert got_err.tobytes() == want_err.tobytes()
+
+
 def test_grid_route_off_axis_disc():
     # Im center = 0.3 raises the cutoff above t_max; the phase columns
     # must cover it
@@ -820,13 +861,36 @@ _NUMPY_LIBS = Path(np.__file__).parent.parent / "numpy.libs"
 def test_gue_dsterf_route_equals_dense_eigvalsh_bit_for_bit(dim, monkeypatch):
     if not any(_NUMPY_LIBS.glob("libscipy_openblas64_*")):
         pytest.skip("numpy ships no scipy-openblas; only the dense route runs")
-    assert zetalab._dsterf() is not None
+    assert _blas.dsterf() is not None
     for seed in (3, 1000 + dim):
         dense = np.linalg.eigvalsh(_gue_tridiagonal(dim, seed))
         assert gue_eigenvalues(dim, seed).tobytes() == dense.tobytes()
         with monkeypatch.context() as mp:
-            mp.setattr(zetalab, "_dsterf", lambda: None)
+            mp.setattr(_blas, "dsterf", lambda: None)
             assert gue_eigenvalues(dim, seed).tobytes() == dense.tobytes()
+
+
+def _clear_blas_lookups():
+    for lookup in (_blas._openblas, _blas.dsterf, _blas._thread_count):
+        lookup.cache_clear()
+
+
+def test_platform_without_rtld_noload_falls_back(monkeypatch):
+    # RTLD_NOLOAD is Unix only: without it no OpenBLAS is looked up, and
+    # every route that would call it runs as it is
+    want, want_z = zeta(0.5 + 1000.0j), riemann_siegel_Z(1000.0)
+    dense = np.linalg.eigvalsh(_gue_tridiagonal(40, 3))
+    monkeypatch.delattr(os, "RTLD_NOLOAD", raising=False)
+    _clear_blas_lookups()
+    try:
+        assert _blas._openblas() is None and _blas.dsterf() is None
+        got = zeta(0.5 + 1000.0j)
+        assert abs(got.value - want.value) <= got.abs_err_bound
+        assert riemann_siegel_Z(1000.0) == want_z
+        assert gue_eigenvalues(40, 3).tobytes() == dense.tobytes()
+    finally:
+        monkeypatch.undo()
+        _clear_blas_lookups()
 
 
 _OPENBLAS_MAPS = """
@@ -858,22 +922,52 @@ def test_gue_route_maps_no_second_openblas():
     assert not any("scipy.libs" in path for path in out["after"])
 
 
-_GUE_HASH = ("import hashlib; from fraczeta.zetalab import gue_sample; "
-             "print(hashlib.sha256(gue_sample(200, 20, 12345).tobytes())"
-             ".hexdigest())")
-
-
-def test_gue_sample_bits_do_not_depend_on_blas_threads():
+def _digests_at_blas_threads(script):
+    """What script prints, run in fresh processes at 1 and 2 BLAS threads."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(
                        filter(None, (src, os.environ.get("PYTHONPATH")))))
-        proc = subprocess.run([sys.executable, "-c", _GUE_HASH], env=env,
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.strip())
+    return digests
+
+
+_GUE_HASH = ("import hashlib; from fraczeta.zetalab import gue_sample; "
+             "print(hashlib.sha256(gue_sample(200, 20, 12345).tobytes())"
+             ".hexdigest())")
+
+
+def test_gue_sample_bits_do_not_depend_on_blas_threads():
+    digests = _digests_at_blas_threads(_GUE_HASH)
+    assert digests[0] == digests[1]
+
+
+_BLAS_ROUTES_HASH = """
+import hashlib
+import numpy as np
+from fraczeta.loopgas import build_kernel, make_lattice
+from fraczeta.zetalab import Disc, find_zeros, universality_scan
+
+h = hashlib.sha256()
+rep = universality_scan(Disc(0.75, 0.05), None, 0.3, 500.0, 0.05)
+h.update(rep.sup_errors.tobytes())
+h.update(rep.err_bounds.tobytes())
+h.update(np.array(find_zeros(300.0).ordinates).tobytes())
+lat = make_lattice(-8.0, 8.0, 201, 0.005, potential=lambda x: x * x / 2)
+h.update(build_kernel(lat).spectrum.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_blas_routes_bits_do_not_depend_on_blas_threads():
+    # the scan's grid products and the 201-site periodic kernel's eigvalsh
+    # gave different bits at 1 and 2 threads before they ran on one
+    digests = _digests_at_blas_threads(_BLAS_ROUTES_HASH)
     assert digests[0] == digests[1]
 
 
