@@ -25,6 +25,13 @@ _CHUNK = 20000  # paths sampled per block; fixed so ensembles are seed-stable
 _TINY = np.finfo(float).tiny  # smallest normal double; kernels store 0 below it
 
 
+def _finite(name: str, value: float) -> float:
+    """value, or a ValueError naming it when it is not finite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class LoopLattice:
     """Uniform 1D site grid with a per-site potential and a time step.
@@ -44,14 +51,18 @@ class LoopLattice:
     boundary: str
 
     def __post_init__(self):
+        _finite("x_min", self.x_min)
+        _finite("x_max", self.x_max)
         if not (self.x_max > self.x_min):
             raise ValueError("need x_max > x_min")
         if self.n_sites < 3:
             raise ValueError(f"need n_sites >= 3, got {self.n_sites}")
         if not (self.eps > 0.0 and math.isfinite(self.eps)):
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
-        if not (self.mass > 0.0 and self.hbar > 0.0):
-            raise ValueError("mass and hbar must be positive")
+        for name in ("mass", "hbar"):
+            if not (0.0 < getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {getattr(self, name)}")
         if len(self.potential) != self.n_sites:
             raise ValueError("potential must have one value per site")
         if not all(math.isfinite(u) for u in self.potential):
@@ -85,7 +96,8 @@ def make_lattice(x_min, x_max, n_sites, eps, mass=1.0, hbar=1.0,
                  potential=None, boundary="periodic") -> LoopLattice:
     """Build a lattice; potential may be None (free), a callable of x,
     or a per-site array."""
-    x = np.linspace(x_min, x_max, n_sites)
+    x = np.linspace(_finite("x_min", float(x_min)),
+                    _finite("x_max", float(x_max)), n_sites)
     if potential is None:
         u = np.zeros(n_sites)
     elif callable(potential):

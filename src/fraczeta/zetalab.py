@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import ctypes
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -48,6 +49,7 @@ _GRID_CELLS = 2 ** 21  # complex entries of the grid factor, 32 MB
 _BISECT_CHUNK = 128   # points per _z_fast call; each chunk gets its own N
 _RS_SCAN_BLOCK = 4096  # points per _z_rs call; 1.3 MB arrays at t = 1e4
 _Z_TOL = 1e-12        # Bernoulli-tail tolerance of every Z evaluation
+_SCALAR_CELLS = 2 ** 16  # phase entries per part of a _z_scalar call, 1 MB
 
 # B_{2k}/(2k)! for k = 0..cap+1, the only Bernoulli data the tail needs:
 # the floats scipy.special.bernoulli(2*cap + 2)[0::2] divided by (2k)!
@@ -396,10 +398,71 @@ def _z_block(t_block: np.ndarray, grid: tuple | None = None,
     return (np.exp(1j * _rs_theta(t_block)) * vals[:, 0]).real, err[:, 0]
 
 
+@_blas.one_thread
+def _z_scalar(t: np.ndarray):
+    """(z, bound) at each t_i as _z_block(np.array([t_i])) gives them, bit
+    for bit, in one call.  All elementwise work runs over every point at
+    once, each point's Bernoulli tail stopping where its own full-array
+    stop test would (the _M_CAP exit included).  Three reductions take
+    their bits from their length, so each point makes its own call of them:
+    the (1 x N-1) @ (N-1 x 1) main sum, mags.sum and log_n @ mags; log N is
+    math.log's, as np.log can differ from it.  The phases are built for
+    the points in parts of about _SCALAR_CELLS entries.
+    """
+    n_used = np.maximum(20, np.ceil(t)).astype(int)          # as _cutoff
+    log_n, p, mags = _dirichlet_table(np.array([0.5]), n_used.max(initial=20))
+    main, mag_sum, log_sum = (np.empty(t.size, dtype=d)
+                              for d in (complex, float, float))
+    width = n_used - 1
+    cuts = np.flatnonzero(np.diff(np.cumsum(width) // _SCALAR_CELLS)) + 1
+    for part in np.split(np.arange(t.size), cuts):
+        starts = np.cumsum(width[part]) - width[part]
+        cols = np.arange(width[part].sum()) - np.repeat(starts, width[part])
+        phase = np.exp(-1j * (np.repeat(t[part], width[part]) * log_n[cols]))
+        for i, at in zip(part, starts):
+            m = width[i]
+            main[i] = (phase[at:at + m][None, :] @ p[:m])[0, 0]
+            mag_sum[i] = mags[:m].sum(axis=0)[0]
+            log_sum[i] = (log_n[:m] @ mags[:m])[0]
+    big_n = n_used.astype(float)
+    log_big_n = np.array([math.log(v) for v in big_n])
+    s = 0.5 + 1j * t
+    ninvs = np.exp(-(0.5 + 0j) * log_big_n) * np.exp(-1j * log_big_n * t)
+    corr = ninvs * (big_n / (s - 1.0) + 0.5)
+    bound = np.empty(t.size)
+    live, s_k, prev = np.arange(t.size), s, np.full(t.size, np.inf)
+    rising, npow, inv_n2 = s, ninvs / big_n, 1.0 / (big_n * big_n)
+    for k in range(1, _M_CAP + 1):
+        term = _B2F[k] * rising * npow
+        mag = np.abs(term)
+        bound[live] = np.abs(s_k + (2 * k - 1)) / (s_k.real + (2 * k - 1)) * mag
+        go = ~((bound[live] <= _Z_TOL) | (mag >= prev))
+        corr[live[go]] += term[go]
+        if k == _M_CAP or not go.any():
+            break
+        live, s_k, prev = live[go], s_k[go], mag[go]
+        rising = rising[go] * ((s_k + (2 * k - 1)) * (s_k + 2 * k))
+        npow = npow[go] * inv_n2[live]
+    noise = _EPS * (mag_sum + np.abs(t) * log_sum + np.abs(corr))
+    return (np.exp(1j * _rs_theta(t)) * (main + corr)).real, bound + 2.0 * noise
+
+
 def _z_fast(t_block: np.ndarray):
     """_z_block at N = max(20, ceil(max t / pi)), a third of the default;
     |s|/(2 pi N) <= 1/2 still takes the tail to _Z_TOL in few terms."""
     return _z_block(t_block, cutoff=max(20, math.ceil(t_block.max() / math.pi)))
+
+
+@functools.cache
+def _prefix_sums():
+    """sum_{m<=n} m^{-1/2} and sum_{m<=n} m^{-1/2} log m at index n - 1, for
+    every n below _T_CEIL; built on first use, 160 kB, read-only."""
+    n = np.arange(1, _T_CEIL, dtype=float)
+    w = n ** -0.5
+    sums = np.cumsum(w), np.cumsum(w * np.log(n))
+    for s in sums:
+        s.flags.writeable = False
+    return sums
 
 
 def _z_scalar_bound_cap(t: np.ndarray) -> np.ndarray:
@@ -407,9 +470,7 @@ def _z_scalar_bound_cap(t: np.ndarray) -> np.ndarray:
     _Z_TOL plus twice the noise floor over n < N = max(20, ceil t_i), with
     1 standing in for |corr| (below 1/2 on the critical line for t >= 14)."""
     n_t = np.maximum(20, np.ceil(t)).astype(int)
-    n = np.arange(1, n_t.max(initial=20), dtype=float)
-    w = n ** -0.5
-    s0, s1 = np.cumsum(w)[n_t - 2], np.cumsum(w * np.log(n))[n_t - 2]
+    s0, s1 = (s[n_t - 2] for s in _prefix_sums())
     return _Z_TOL + 2.0 * _EPS * (s0 + t * s1 + 1.0)
 
 
@@ -456,12 +517,12 @@ _RS_COEFFS = (
      -0.00022775966758472127),
 )
 _RS_T_MIN = 200.0      # Gabcke's bound on the K = 4 remainder holds from here
-# _RS_COEFFS as Horner steps in x^2 for all k at once, highest power first
-_RS_HORNER = tuple(np.array(coef)[:, None] for coef in
-                   reversed(list(zip_longest(*_RS_COEFFS, fillvalue=0.0))))
+# _RS_COEFFS as a matrix: row k holds the coefficients of x^(2m + k%2), m = 0..21
+_RS_MATRIX = np.array(list(zip_longest(*_RS_COEFFS, fillvalue=0.0))).T
 
 
-def _z_rs(t_block: np.ndarray):
+@_blas.one_thread
+def _z_rs(t_block: np.ndarray, step: float | None = None):
     """Riemann-Siegel Z on positive ordinates: (z, bound), |z - Z(t)| <= bound.
 
     With a = sqrt(t/2pi), N = floor(a) and p = a - N,
@@ -476,11 +537,29 @@ def _z_rs(t_block: np.ndarray):
     plus the first omitted term of _rs_theta's series bounds theta^'s own
     error; dtheta is counted twice, since the scalar route rotates by
     theta^ and so takes Z cos(dtheta) for Z.  Each term adds 3 eps for its
-    cosine, weight and product, and the sum N eps of its total.  The
-    corrections add (2pi/t)^{1/4} eps (128 + 16 a): Horner sums of degree
-    at most 42 with sum_k sum_m |c_km| 2^{-m} <= 1.2, and p off by 2 a eps
-    under sum_k max |C_k'| <= 4.4.  Below t = 200, where Gabcke's bound
-    does not hold, z is 0 and the bound inf.
+    cosine, weight and product, and the sum N eps of its total; the floor
+    takes these sums over n from _prefix_sums.  C_0..C_4 are one matrix
+    product, _RS_MATRIX times the powers x^{2m} of x = p - 1/2 (each built
+    by one more multiplication), on one BLAS thread.  They add (2pi/t)^{1/4}
+    eps (32 + 16 a): a term c_km x^{2m+k%2} is off by at most (m + 12) eps
+    relative (2m - 1 roundings of eps/2 in its power, 22 in a dot product
+    of 22 terms in any order, one for the odd rows' factor x), and sum_k sum_m
+    |c_km| 2^{-2m-k%2} (m + 12) <= 14.5; the Horner steps in (2pi/t)^{1/2},
+    its own rounding and the fourth root add at most 8 eps sum_k |C_k|,
+    where sum_k sum_m |c_km| 2^{-2m-k%2} <= 1.2; and p is off by 2 a eps
+    under sum_k max |C_k'| <= 4.4.
+
+    With step, t_block holds evenly spaced points t_j = fl(k_j step), k_j
+    consecutive, as the zero scan has them.  The main sum is then
+    2 Re(e^{i theta} sum_n n^{-1/2} e^{-i t_j log n}), whose phases come from
+    two tables: e^{-i T log n} at every f-th point T (f about the square
+    root of the block) times e^{-i fl(r step) log n}, r < f, taken by one
+    complex matrix product per distinct N.  The floor gains, per term, the
+    phase that writing t_j as T + fl(r step) moves, |t_j - T - fl(r step)|
+    log n (about eps t log n on the grid; t_j - T is exact), and 4 eps for
+    the two tables' exps and their product; a point off the grid thus only
+    loses its certificate.  Below t = 200, where Gabcke's bound does not
+    hold, z is 0 and the bound inf.
     """
     t = np.asarray(t_block, dtype=float)
     z, bound = np.zeros_like(t), np.full_like(t, np.inf)
@@ -493,30 +572,45 @@ def _z_rs(t_block: np.ndarray):
     x = a - n_main - 0.5
     theta = _rs_theta(t)
     n = np.arange(1.0, n_main.max() + 1.0)
-    used = n[None, :] <= n_main[:, None]
-    w = np.where(used, n ** -0.5, 0.0)
-    t_log_n = np.outer(t, np.log(n))
-    terms = np.cos(theta[:, None] - t_log_n, out=np.zeros_like(t_log_n),
-                   where=used)
-    terms *= w
-    main = 2.0 * np.sum(terms, axis=1)
-    u = np.sqrt(_TWO_PI / t)
-    x2 = x * x
-    c_k = np.zeros((len(_RS_COEFFS), t.size))
-    for coef in _RS_HORNER:
-        c_k *= x2
-        c_k += coef
+    log_n, w = np.log(n), n ** -0.5
+    s0, s1 = (s[n_main.astype(int) - 1] for s in _prefix_sums())
+    d_theta = 4.0 * _EPS * (np.abs(theta) + t) + 127.0 / (430080.0 * t ** 7)
+    floor = 2.0 * (2.0 * _EPS * t * s1
+                   + (2.0 * d_theta + _EPS * (np.abs(theta) + 3.0 + n_main)) * s0)
+    if step is None:
+        used = n[None, :] <= n_main[:, None]
+        terms = np.cos(theta[:, None] - np.outer(t, log_n),
+                       out=np.zeros((t.size, n.size)), where=used)
+        terms *= np.where(used, w, 0.0)
+        main = 2.0 * np.sum(terms, axis=1)
+    else:
+        fine = 1 << ((t.size - 1).bit_length() + 1) // 2
+        j = np.arange(t.size)
+        offset = np.arange(fine) * step
+        coarse = np.exp(-1j * np.outer(t[::fine], log_n)) * w
+        short = np.exp(-1j * np.outer(offset, log_n))
+        sums = np.empty(t.size, dtype=complex)
+        edges = [0, *(np.flatnonzero(np.diff(n_main)) + 1), t.size]
+        for j0, j1 in zip(edges, edges[1:]):           # runs of one N
+            top, c0 = int(n_main[j0]), j0 // fine
+            part = coarse[c0:(j1 - 1) // fine + 1, :top] @ short[:, :top].T
+            sums[j0:j1] = part.ravel()[j0 - c0 * fine:j1 - c0 * fine]
+        main = 2.0 * (np.cos(theta) * sums.real - np.sin(theta) * sums.imag)
+        shift = np.abs((t - t[j - j % fine]) - offset[j % fine])
+        floor += 2.0 * (shift * s1 + 4.0 * _EPS * s0)
+    powers = np.empty((_RS_MATRIX.shape[1], t.size))
+    powers[0], powers[1] = 1.0, x * x
+    for m in range(2, len(powers)):
+        np.multiply(powers[m - 1], powers[1], out=powers[m])
+    c_k = _RS_MATRIX @ powers
     c_k[1::2] *= x
+    u = np.sqrt(_TWO_PI / t)
     corr = c_k[-1]
     for k in range(len(_RS_COEFFS) - 2, -1, -1):
         corr = corr * u + c_k[k]
     sign = np.where(n_main % 2 == 1.0, 1.0, -1.0)
     z[hi] = main + sign * np.sqrt(u) * corr
-    d_theta = 4.0 * _EPS * (np.abs(theta) + t) + 127.0 / (430080.0 * t ** 7)
-    phase = 2.0 * _EPS * t_log_n
-    phase += (2.0 * d_theta + _EPS * (np.abs(theta) + 3.0 + n_main))[:, None]
-    phase *= w
-    floor = 2.0 * np.sum(phase, axis=1) + np.sqrt(u) * _EPS * (128.0 + 16.0 * a)
+    floor += np.sqrt(u) * _EPS * (32.0 + 16.0 * a)
     bound[hi] = 0.017 * t ** -2.75 + floor
     return z, bound
 
@@ -539,24 +633,27 @@ def mean_zero_count(t: float) -> float:
     return x * math.log(x) - x + 0.875
 
 
-def _certified_z(t: np.ndarray):
+def _certified_z(t: np.ndarray, step: float | None = None):
     """Z on an ascending array of positive ordinates, each sign equal to the
     scalar route's (riemann_siegel_Z); returns (z, gate, n_scalar).
 
     Two fast routes are tried in turn, each on the points the one before
-    left open: _z_rs in blocks of _RS_SCAN_BLOCK, then _z_fast in chunks
-    of _BISECT_CHUNK.  No block holds points from both sides of _RS_T_MIN:
+    left open: _z_rs in blocks of _RS_SCAN_BLOCK (from its phase tables
+    where step says t is the scan grid), then _z_fast in chunks of
+    _BISECT_CHUNK.  No block holds points from both sides of _RS_T_MIN:
     a _z_fast chunk's cutoff follows its largest t, and the points below,
     all left open by _z_rs, would pay the cutoff of the few Riemann-Siegel
     misses above.  A value stands only where |z| > gate = its bound +
     _z_scalar_bound_cap(t): both bounds cover Z as the scalar route
     rotates it, so its sign is the scalar route's.  The scalar route
-    decides the other n_scalar points one at a time; gate is its bound.
+    decides the other n_scalar points, by one _z_scalar call; gate is its
+    bound.
     """
     z, gate = np.empty_like(t), np.empty_like(t)
     cap = _z_scalar_bound_cap(t)
     open_ = np.arange(t.size)
-    for route, size in ((_z_rs, _RS_SCAN_BLOCK), (_z_fast, _BISECT_CHUNK)):
+    rs = functools.partial(_z_rs, step=step)
+    for route, size in ((rs, _RS_SCAN_BLOCK), (_z_fast, _BISECT_CHUNK)):
         cut = np.searchsorted(t[open_], _RS_T_MIN)
         for run in (open_[:cut], open_[cut:]):
             for lo in range(0, run.size, size):
@@ -564,8 +661,8 @@ def _certified_z(t: np.ndarray):
                 z[i], bound = route(t[i])
                 gate[i] = bound + cap[i]
         open_ = open_[np.abs(z[open_]) <= gate[open_]]
-    for i in open_:
-        z[i:i + 1], gate[i:i + 1] = _z_block(t[i:i + 1])
+    if open_.size:
+        z[open_], gate[open_] = _z_scalar(t[open_])
     return z, gate, open_.size
 
 
@@ -576,7 +673,8 @@ def _z_scan(t_max: float, grid: float):
     The grid is cut into chunks of _GRID_ROWS points.  Those that start
     below _RS_T_MIN go through the factored grid route, whose factor has
     only the columns they need; there gate is the route's bound.  Every
-    later point, an off-grid t_max included, goes through _certified_z.
+    later point, an off-grid t_max included, goes through _certified_z,
+    whose Riemann-Siegel blocks take their phases from the grid's tables.
     """
     k = int(math.floor(t_max / grid + 1e-9))
     ts = np.arange(1, k + 1, dtype=float) * grid
@@ -586,7 +684,7 @@ def _z_scan(t_max: float, grid: float):
     first = min(k, _GRID_ROWS * int(np.sum(ts[:k:_GRID_ROWS] < _RS_T_MIN)))
     for sl, chunk in _grid_chunks(np.array([0.5]), ts[:first], grid):
         z[sl], gate[sl] = _z_block(ts[sl], chunk)
-    z[first:], gate[first:], n_scalar = _certified_z(ts[first:])
+    z[first:], gate[first:], n_scalar = _certified_z(ts[first:], grid)
     return ts, z, gate, n_scalar
 
 
@@ -623,8 +721,9 @@ def find_zeros(t_max: float, grid: float = 0.05) -> ZeroList:
     In the grid chunks that start below t = 200 the scan takes Z from the
     factored grid sum (_grid_chunks).  Every later scan point, and every
     bisection midpoint, goes through one chain, _certified_z:
-    Riemann-Siegel, then a t/pi-cutoff Euler-Maclaurin sum, each kept only
-    where it certifies the sign, then the scalar route.  The bisection
+    Riemann-Siegel (on the scan, from the grid's phase tables), then a
+    t/pi-cutoff Euler-Maclaurin sum, each kept only where it certifies the
+    sign, then the scalar route, batched per call.  The bisection
     halves all brackets together, and the ordinates equal a scalar
     bisection's.  ZeroList.min_sign_margin is the smallest |Z|/gate over
     the scan values at each sign change and over every bisection
@@ -821,10 +920,11 @@ def universality_scan(region: Disc, target, epsilon: float,
                       t_max: float, t_step: float) -> UniversalityReport:
     """Measure how often the shift t keeps zeta within epsilon of target.
 
-    target is a callable evaluated on the region grid, or None for
-    self-approximation (target = zeta on the grid).  The t grid is
-    k*t_step for k = 0..round(t_max/t_step)-1; a step is a hit when
-    max_j |zeta(s_j + it) - target(s_j)| < epsilon.  Each step also
+    target is a callable evaluated on the region grid, whose values must
+    be finite, or None for self-approximation (target = zeta on the grid).
+    The t grid is k*t_step for k = 0..round(t_max/t_step)-1; a step is a
+    hit when max_j |zeta(s_j + it) - target(s_j)| < epsilon, so at
+    epsilon = inf every step hits.  Each step also
     carries err_bounds, the largest over j of the Euler-Maclaurin
     remainder bound plus the float-noise floor, as zeta() works them out.
     The grid goes through one factored grid sum (_grid_chunks), whose
@@ -848,6 +948,8 @@ def universality_scan(region: Disc, target, epsilon: float,
         tgt = np.array([zeta(s).value for s in pts])
     else:
         tgt = np.array([complex(target(s)) for s in pts])
+        if not np.all(np.isfinite(tgt)):
+            raise ValueError("target must be finite on the region grid")
     k_steps = int(round(t_max / t_step))
     tvals = np.arange(k_steps, dtype=float) * t_step
     sup = np.empty(k_steps)

@@ -10,10 +10,10 @@ from fraczeta.cli import build_parser
 from fraczeta.eprspace import trace_exp
 from fraczeta.fracdyn import (SHIFT_U, SHIFT_V, TwistedShift, arc_fit,
                               gl_fracderiv, gl_weights, twisted_compose)
-from fraczeta.loopgas import fluctuation_bound, thermal_time
+from fraczeta.loopgas import fluctuation_bound, make_lattice, thermal_time
 from fraczeta.zetalab import (Disc, ZeroList, euler_product, gue_eigenvalues,
                               mean_zero_count, pair_correlation, partial_zeta,
-                              spectral_zeta)
+                              spectral_zeta, universality_scan)
 
 
 def _handler(*argv):
@@ -55,6 +55,17 @@ def _handler(*argv):
     pytest.param(lambda: fluctuation_bound(1.0, 0.5, mass=math.inf), "mass",
                  id="fluctuation_bound_mass"),
     pytest.param(lambda: thermal_time(math.inf), "beta", id="thermal_time"),
+    pytest.param(lambda: make_lattice(-math.inf, 4.0, 41, 0.01), "x_min",
+                 id="LoopLattice_x_min"),
+    pytest.param(lambda: make_lattice(-4.0, math.inf, 41, 0.01), "x_max",
+                 id="LoopLattice_x_max"),
+    pytest.param(lambda: make_lattice(-4.0, 4.0, 41, 0.01, mass=math.inf),
+                 "mass", id="LoopLattice_mass"),
+    pytest.param(lambda: make_lattice(-4.0, 4.0, 41, 0.01, hbar=math.inf),
+                 "hbar", id="LoopLattice_hbar"),
+    pytest.param(lambda: universality_scan(Disc(0.75, 0.05),
+                                           lambda s: math.nan, 0.3, 1.0, 0.5),
+                 "target", id="universality_scan_target"),
     pytest.param(lambda: thermal_time(1.0, math.nan), "hbar",
                  id="thermal_time_hbar"),
     pytest.param(lambda: _handler("loops", "fluct", "--beta", "inf"), "beta",

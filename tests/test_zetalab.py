@@ -42,6 +42,7 @@ from fraczeta.zetalab import (
     _BISECT_CHUNK,
     _GRID_ROWS,
     _RS_COEFFS,
+    _RS_MATRIX,
     _RS_SCAN_BLOCK,
     _RS_T_MIN,
     _certified_z,
@@ -50,6 +51,7 @@ from fraczeta.zetalab import (
     _z_block,
     _z_fast,
     _z_rs,
+    _z_scalar,
     _z_scalar_bound_cap,
     _z_scan,
 )
@@ -293,6 +295,37 @@ def test_Z_domain():
         riemann_siegel_Z(-3.0)
 
 
+# sha256 of zeta()'s (value, bound) at 600 seeded points on the critical
+# line and 600 inside the strip 0 < Re s < 1, then riemann_siegel_Z at 300
+# seeded t (integers and their next floats among them), as float64 bytes
+REFERENCE_ROUTE_SHA256 = (
+    "3dabec09ffabacc5d8c02d3b6d5b57766e2dd84a58c9bf30e2b3720a8754fca5")
+
+
+def _reference_route_digest():
+    rng = np.random.default_rng(26)
+    line = 0.5 + 1j * rng.uniform(14.0, 9999.0, 600)
+    # the float-noise floor keeps zeta()'s bound under 1e-8 for Re s >= 0.05
+    # up to |t| = 1e3 and for Re s >= 1/2 up to |t| = 9999
+    strip = np.concatenate([
+        rng.uniform(0.05, 0.95, 300) + 1j * rng.uniform(-1e3, 1e3, 300),
+        rng.uniform(0.5, 0.95, 300) + 1j * rng.uniform(-9999.0, 9999.0, 300)])
+    whole = np.floor(rng.uniform(14.0, 9999.0, 50))
+    ts = np.concatenate([rng.uniform(14.0, 9999.0, 200), whole,
+                         np.nextafter(whole, np.inf)])
+    h = hashlib.sha256()
+    for s in np.concatenate([line, strip]):
+        point = zeta(s)
+        h.update(np.array([point.value.real, point.value.imag,
+                           point.abs_err_bound]).tobytes())
+    h.update(np.array([riemann_siegel_Z(t) for t in ts]).tobytes())
+    return h.hexdigest()
+
+
+def test_reference_route_bits_pinned():
+    assert _reference_route_digest() == REFERENCE_ROUTE_SHA256
+
+
 # --- zero finding ----------------------------------------------------------------
 
 
@@ -434,6 +467,41 @@ def test_rs_bound_covers_mpmath(rs_and_scalar):
     assert np.all(np.abs(z_rs - ref) <= b_rs)
 
 
+def _grid_route_at(ts, step=0.05, rows=64):
+    """_z_rs(block, step) at each t, where t sits at row j <= 37 of a block
+    of evenly spaced points t - j step + fl(r step) from t = 200 up, so
+    that, except at j = 0, its phases come from the two tables."""
+    z, bound = np.empty_like(ts), np.empty_like(ts)
+    for i, t in enumerate(ts):
+        j = min(37, int((t - _RS_T_MIN) // step))
+        block = (t - j * step) + np.arange(rows) * step
+        block[j] = t
+        z_block, b_block = _z_rs(block, step)
+        z[i], bound[i] = z_block[j], b_block[j]
+    return z, bound
+
+
+def test_rs_grid_route_covers_mpmath_and_the_direct_route(rs_and_scalar,
+                                                          scan_600):
+    pytest.importorskip("mpmath")
+    ts, z_rs, b_rs, _ = rs_and_scalar
+    _, ref = np.loadtxt(
+        Path(__file__).parent / "oracles" / "siegelz_table.txt", unpack=True)
+    z_grid, b_grid = _grid_route_at(ts)
+    assert np.all(np.abs(z_grid - ref) <= b_grid)
+    assert np.all(np.abs(z_grid - z_rs) <= b_grid + b_rs)
+    # on the scan grid, and at a point moved 0.01 off it, which keeps a
+    # bound only through the shift term
+    scan = scan_600[0][4096:]
+    off = scan.copy()
+    off[100] += 0.01
+    for block in (scan, off):
+        z_grid, b_grid = _z_rs(block, 0.05)
+        z_dir, b_dir = _z_rs(block)
+        assert np.all(np.abs(z_grid - z_dir) <= b_grid + b_dir)
+    assert b_grid[100] > 1e-3 > b_grid[99]
+
+
 def test_rs_bound_is_infinite_below_200():
     z, bound = _z_rs(np.array([14.0, 150.0, 199.99, 200.0]))
     assert np.all(np.isinf(bound[:3])) and np.all(z[:3] == 0.0)
@@ -441,16 +509,24 @@ def test_rs_bound_is_infinite_below_200():
 
 
 def test_rs_floor_constants_hold_for_the_table():
-    # _z_rs's rounding floor for the corrections takes sum_k sum_m
-    # |c_km| 2^-m <= 1.2 and sum_k max |C_k'| <= 4.4 on |x| <= 1/2
-    size = slope = 0.0
+    # _z_rs's rounding floor for the corrections, (2pi/t)^{1/4} eps
+    # (32 + 16 a), takes on |x| <= 1/2, with e = 2m + k % 2 the power of x:
+    # sum_k sum_m |c_km| 2^-e (m + 12) <= 14.5 (a term's relative error in
+    # a dot product of 22 powers), sum_k sum_m |c_km| 2^-e <= 1.2 (for the
+    # 8 eps of the Horner steps in u) and sum_k max |C_k'| <= 4.4 (for p)
+    size = slope = terms = 0.0
     for k, row in enumerate(_RS_COEFFS):
-        m = np.arange(len(row)) * 2 + k % 2
-        size += float(np.sum(np.abs(row) * 0.5 ** m))
-        slope += float(np.sum(m * np.abs(row) * 0.5 ** (m - 1.0)))
-    assert size <= 1.2 and slope <= 4.4
-    assert max(2 * len(row) - 2 + k % 2
-               for k, row in enumerate(_RS_COEFFS)) <= 42
+        m = np.arange(len(row))
+        e = 2 * m + k % 2
+        weight = np.abs(row) * 0.5 ** e
+        size += float(np.sum(weight))
+        terms += float(np.sum(weight * (m + 12)))
+        slope += float(np.sum(e * np.abs(row) * 0.5 ** (e - 1.0)))
+    assert size <= 1.2 and slope <= 4.4 and terms <= 14.5
+    assert 14.5 + 8 * 1.2 <= 32 and 2 * 4.4 <= 16
+    assert _RS_MATRIX.shape == (len(_RS_COEFFS), 22)
+    for k, row in enumerate(_RS_COEFFS):
+        assert _RS_MATRIX[k].tolist() == [*row, *[0.0] * (22 - len(row))]
 
 
 def test_rs_coefficient_table_matches_oracle():
@@ -460,12 +536,12 @@ def test_rs_coefficient_table_matches_oracle():
     assert all(tail < 1e-17 for tail in oracle.dropped_tails())
 
 
-def _blind_fast(t_block):
+def _blind_fast(t_block, step=None):
     z, bound = _z_block(t_block)
     return z, np.full_like(bound, np.inf)
 
 
-def _lying_fast(t_block):
+def _lying_fast(t_block, step=None):
     # the scalar value's opposite sign, with the smallest bound that still
     # covers it (|z' - z| <= bound' + bound); a gate on bound' alone would
     # take the wrong sign wherever |z| < bound, as at t = 176.4
@@ -482,27 +558,52 @@ def zeros_300_reference():
 @pytest.mark.parametrize("fake_fast", [_blind_fast, _lying_fast])
 def test_reference_route_alone_matches_scalar_bisection(
         monkeypatch, zeros_300_reference, fake_fast):
-    direct_calls = []
+    scalar_calls = []
 
-    def spy(t_block, phases=None, cutoff=None):
-        if phases is None:                  # not the factored scan
-            direct_calls.append((t_block.size, cutoff))
-        return _z_block(t_block, phases, cutoff)
+    def spy(t):
+        z, gate = _z_scalar(t)
+        scalar_calls.append((t.copy(), z, gate))
+        return z, gate
 
-    # both fast routes, Riemann-Siegel (from t = 200) and the chunked
-    # Euler-Maclaurin sum, are replaced by the fake
+    # both fast routes, Riemann-Siegel (from t = 200, from the scan's phase
+    # tables or direct) and the chunked Euler-Maclaurin sum, are replaced
+    # by the fake, so the batched scalar route decides every sign
     monkeypatch.setattr("fraczeta.zetalab._z_rs", fake_fast)
     monkeypatch.setattr("fraczeta.zetalab._z_fast", fake_fast)
-    monkeypatch.setattr("fraczeta.zetalab._z_block", spy)
+    monkeypatch.setattr("fraczeta.zetalab._z_scalar", spy)
     zl = find_zeros(300.0)
     assert np.array_equal(zl.ordinates, zeros_300_reference)
-    # the scalar route decides, at its default cutoff, the 1,904 scan
-    # points past the 8 grid chunks that start below t = 200, and each of
-    # the 26 halvings that take every 0.05 bracket to 1e-9
+    # the scalar route decides the 1,904 scan points past the 8 grid
+    # chunks that start below t = 200, and each of the 26 halvings that
+    # take every 0.05 bracket to 1e-9: one call for the scan, one a sweep
     scan_points = 6000 - 8 * _GRID_ROWS
     assert zl.reference_decisions == scan_points + 26 * len(zl.ordinates)
-    assert direct_calls == [(1, None)] * zl.reference_decisions
+    assert len(scalar_calls) == 27 and scalar_calls[0][0].size == scan_points
+    assert sum(t.size for t, _, _ in scalar_calls) == zl.reference_decisions
+    # each decision is the one-point scalar route's, bit for bit
+    for t, z, gate in scalar_calls:
+        one = np.array([_z_block(t[i:i + 1]) for i in range(t.size)])[:, :, 0]
+        assert z.tobytes() == one[:, 0].tobytes()
+        assert gate.tobytes() == one[:, 1].tobytes()
     assert math.isfinite(zl.min_sign_margin)
+
+
+def test_scalar_batch_equals_one_point_route_bit_for_bit():
+    # 2,404 seeded t in [14, 1e4], unsorted, with 200 integers and the next
+    # float above each, where ceil(t) and so the cutoff N steps, and two t
+    # at N = 9170, the one N in [20, 1e4] where np.log is not math.log
+    rng = np.random.default_rng(2611)
+    whole = np.floor(rng.uniform(14.0, 1.0e4, 200))
+    ts = np.concatenate([rng.uniform(14.0, 1.0e4, 1000),
+                         np.exp(rng.uniform(math.log(14.0), math.log(1.0e4),
+                                            1000)),
+                         whole, np.nextafter(whole, np.inf),
+                         [14.0, 9169.5, 9170.0, 1.0e4]])
+    rng.shuffle(ts)
+    z, bound = _z_scalar(ts)
+    one = np.array([_z_block(ts[i:i + 1]) for i in range(ts.size)])[:, :, 0]
+    assert z.tobytes() == one[:, 0].tobytes()
+    assert bound.tobytes() == one[:, 1].tobytes()
 
 
 def _assert_each_within_the_others_err(a, err_a, b, err_b):
@@ -658,13 +759,14 @@ def test_scan_signs_match_direct_route(scan_600):
 
 def test_scan_rs_points_clear_their_gate(scan_600):
     # from the first chunk that starts at t >= 200, every point is the
-    # Riemann-Siegel value, which clears its bound plus the scalar majorant
+    # Riemann-Siegel value from the grid's phase tables, which clears its
+    # bound plus the scalar majorant
     ts, z, gate, grid, _, _ = scan_600
     lo = _GRID_ROWS * math.ceil(np.searchsorted(ts, _RS_T_MIN) / _GRID_ROWS)
     assert ts[lo - _GRID_ROWS] < _RS_T_MIN <= ts[lo]
     for blk in range(lo, ts.size, _RS_SCAN_BLOCK):
         sl = slice(blk, blk + _RS_SCAN_BLOCK)
-        z_rs, b_rs = _z_rs(ts[sl])
+        z_rs, b_rs = _z_rs(ts[sl], 0.05)
         assert np.array_equal(z[sl], z_rs)
         assert np.array_equal(gate[sl], b_rs + _z_scalar_bound_cap(ts[sl]))
         assert np.all(np.abs(z[sl]) > gate[sl])
@@ -679,8 +781,8 @@ def test_scan_point_failing_the_rs_gate_takes_the_fast_route(
     weak = 6000
     assert ts[weak] == 300.05
 
-    def rs_weak_at_one_point(t_block):
-        z_rs, b_rs = _z_rs(t_block)
+    def rs_weak_at_one_point(t_block, step=None):
+        z_rs, b_rs = _z_rs(t_block, step)
         return z_rs, np.where(t_block == ts[weak], np.inf, b_rs)
 
     monkeypatch.setattr("fraczeta.zetalab._z_rs", rs_weak_at_one_point)
@@ -951,6 +1053,7 @@ _BLAS_ROUTES_HASH = """
 import hashlib
 import numpy as np
 from fraczeta.loopgas import build_kernel, make_lattice
+from fraczeta import zetalab
 from fraczeta.zetalab import Disc, find_zeros, universality_scan
 
 h = hashlib.sha256()
@@ -958,6 +1061,12 @@ rep = universality_scan(Disc(0.75, 0.05), None, 0.3, 500.0, 0.05)
 h.update(rep.sup_errors.tobytes())
 h.update(rep.err_bounds.tobytes())
 h.update(np.array(find_zeros(300.0).ordinates).tobytes())
+ts = np.sort(np.random.default_rng(5).uniform(200.0, 1.0e4, 600))
+grid = np.arange(4000, 8096) * 0.05
+for z, bound in (zetalab._z_rs(ts), zetalab._z_rs(grid, 0.05),
+                 zetalab._z_scalar(ts[::20])):
+    h.update(z.tobytes())
+    h.update(bound.tobytes())
 lat = make_lattice(-8.0, 8.0, 201, 0.005, potential=lambda x: x * x / 2)
 h.update(build_kernel(lat).spectrum.tobytes())
 print(h.hexdigest())
@@ -966,7 +1075,9 @@ print(h.hexdigest())
 
 def test_blas_routes_bits_do_not_depend_on_blas_threads():
     # the scan's grid products and the 201-site periodic kernel's eigvalsh
-    # gave different bits at 1 and 2 threads before they ran on one
+    # gave different bits at 1 and 2 threads before they ran on one; the
+    # Riemann-Siegel corrections and phase tables, and the batched scalar
+    # route's reductions, are BLAS products too
     digests = _digests_at_blas_threads(_BLAS_ROUTES_HASH)
     assert digests[0] == digests[1]
 
@@ -1024,9 +1135,11 @@ def test_region_grid_layout():
 
 def test_scan_huge_epsilon_full_measure():
     disc = Disc(center=0.75 + 0.0j, radius=0.05)
-    rep = universality_scan(disc, None, epsilon=10.0, t_max=2.0, t_step=0.25)
-    assert rep.hit_measure == 1.0
-    assert rep.witnesses.size == rep.t_grid.size == 8
+    for epsilon in (10.0, math.inf):
+        rep = universality_scan(disc, None, epsilon=epsilon, t_max=2.0,
+                                t_step=0.25)
+        assert rep.hit_measure == 1.0
+        assert rep.witnesses.size == rep.t_grid.size == 8
 
 
 def test_scan_self_approximation_at_zero_shift():
