@@ -13,8 +13,9 @@ Natural units hbar = m = k_B = 1 by default, all overridable.
 """
 
 import math
+import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -116,12 +117,16 @@ class TransferKernel:
     """One-step operator: symmetric, nonnegative, delta included.
 
     The matrix is made read-only, so the spectrum computed from it on
-    first use stays valid for the kernel's lifetime.
+    first use, and the last propagator row it evolved (kept_row), stay
+    valid for the kernel's lifetime.
     """
 
     matrix: np.ndarray
     eps: float
     delta: float
+    # ((x0, n_steps), last row of propagator_slices), set by propagator
+    kept_row: tuple = field(default=None, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.matrix)):
@@ -231,11 +236,18 @@ def propagator_slices(kernel: TransferKernel, x0: int, n_steps: int):
 
 def propagator(kernel: TransferKernel, x0: int, x1: int, n_steps: int) -> float:
     """Density q(x0 -> x1, n_steps*eps) = (T^n)[x0, x1] / delta, the last
-    of propagator_slices."""
+    of propagator_slices.  The kernel keeps that last row, so calls that
+    change only x1 reuse it; the arguments are checked before the row is
+    looked up, so one equal to the kept key but of another type (x0 = True
+    or 1.0 after x0 = 1) still raises."""
     _check_sites(len(kernel.matrix), x1)
-    for q in propagator_slices(kernel, x0, n_steps):
-        pass
-    return float(q[x1])
+    rows = propagator_slices(kernel, x0, n_steps)
+    key = (int(x0), operator.index(n_steps))
+    if kernel.kept_row is None or kernel.kept_row[0] != key:
+        for q in rows:
+            pass
+        object.__setattr__(kernel, "kept_row", (key, q))
+    return float(kernel.kept_row[1][x1])
 
 
 def _loop_traces(kernel: TransferKernel, first: int, n_steps: int) -> list:
@@ -321,20 +333,31 @@ def _sample_bridge(g: np.ndarray, start: int, end: int, n_steps: int,
                    n_paths: int, rng) -> np.ndarray:
     """Exact lattice bridge: forward categorical sampling of the free
     chain pinned at both ends, using backward partials b_j = G^j[:, end].
+    A ValueError names end_site when the chain's weight (G^n)[start, end]
+    is 0, as no path could then reach it.
 
     One cumsum of G * b_j per step serves all paths: a path at site i
     counts the entries of row i below its draw u, the same count as one
     gathered row per path.  Only rows cur.min()..cur.max() are summed;
     the rest keep stale sums that no path reads, and each row is its own
-    sequential sum, so the range changes no bit.  Rows sit in an (n, W)
-    buffer, W = 2^bit_length(n) > n, whose tail is +inf.  A row is
-    nondecreasing (G, b >= 0) and the pad is never below u, so the padded
-    row has the same count of entries below u, and one branchless
-    lower-bound search of log2(W) halvings finds it for every path at
-    once.  Halving s reads the view flat[s - 1:], and the search moves at
-    most W - 1 past the row start, so the count is pos mod W; row totals
-    come from the 1-D view of column n - 1.  G is a kernel matrix, so no
-    subnormal entry of it slows the products with b (see _free_gaussian).
+    sequential sum, so the range changes no bit.  A row is nondecreasing
+    (G, b >= 0) and u = r * total with r < 1 never exceeds its last entry,
+    so the count is at most n - 1.  Rows sit in an (n, B) buffer, B a
+    power of two, between W/2 + 1 columns of -inf and a +inf tail: neither
+    pad changes the count below u >= 0 beyond adding the -inf columns, and
+    branchless lower-bound searches find it for every path at once.  A
+    search keeps p, the flat index of an entry known to be below u, and
+    halving s moves p by s where the view flat[s:] at p is below u.
+
+    Paths move a few cells per step, so each first searches the W = 2^j
+    columns around its site (see _bridge_window), log2(W) halvings from
+    p = cur * (B + 1), the column before the window.  The count lies in
+    the window exactly when that column is below u and the one W past it
+    is not (the row is nondecreasing); the paths where either check
+    fails (u = 0, long jumps, the periodic seam) get the full search of
+    log2(B) halvings from column 0 of their row, on them alone.  Either
+    way the count is p mod B - W/2.  G is a kernel matrix, so no subnormal
+    entry of it slows the products with b (see _free_gaussian).
 
     Sites are written into a step-major (n_steps + 1, n_paths) scratch
     array, one contiguous row per step, and returned as one C-order
@@ -344,12 +367,23 @@ def _sample_bridge(g: np.ndarray, start: int, end: int, n_steps: int,
     e_end = np.zeros(n)
     e_end[end] = 1.0  # b_0 = e_end, used only to seed the recursion
     b = np.array([e_end, *_evolve(g, e_end, n_steps - 1)])
-    width = 1 << n.bit_length()
+    if not g[start] @ b[-1] > 0.0:
+        raise ValueError(f"end_site {end} is unreachable from site {start} "
+                         f"in {n_steps} steps: the free chain's weight is 0")
+    win = _bridge_window(g)
+    half = win // 2
+    width = 1 << (n + win + 1).bit_length()
     buf = np.full((n, width), np.inf)
+    buf[:, :half + 1] = -np.inf
     flat = buf.reshape(-1)
-    totals = buf[:, n - 1]
-    halvings = [(width >> i, flat[(width >> i) - 1:])
-                for i in range(1, width.bit_length())]
+    rows = buf[:, half + 1:half + 1 + n]
+    totals = rows[:, n - 1]
+    # each move in the narrowest unsigned type that holds it, the cheapest
+    # mask-times-move array to add to p
+    halvings = [(np.min_scalar_type(s).type(s), flat[s:])
+                for s in (width >> i for i in range(1, width.bit_length()))]
+    w_halvings = [h for h in halvings if h[0] < win]
+    above = flat[win:]
     steps = np.empty((n_steps + 1, n_paths), dtype=np.int64)
     steps[0] = start
     steps[n_steps] = end
@@ -358,13 +392,42 @@ def _sample_bridge(g: np.ndarray, start: int, end: int, n_steps: int,
         cur = steps[0, lo:hi]
         for k in range(1, n_steps):
             r0, r1 = cur.min(), cur.max() + 1
-            np.cumsum(g[r0:r1] * b[n_steps - k], axis=1, out=buf[r0:r1, :n])
+            np.cumsum(g[r0:r1] * b[n_steps - k], axis=1, out=rows[r0:r1])
             u = rng.random(cur.size) * totals.take(cur)
-            pos = cur * width
-            for step, ahead in halvings:
-                pos += step * (ahead[pos] < u)
-            cur = np.minimum(pos & (width - 1), n - 1, out=steps[k, lo:hi])
+            if win:
+                p = cur * (width + 1)
+                bad = flat.take(p) >= u
+                bad |= above.take(p) < u
+                _search(p, u, w_halvings)
+                if bad.any():
+                    miss = np.flatnonzero(bad)
+                    p[miss] = _search(cur[miss] * width, u[miss], halvings)
+            else:
+                p = _search(cur * width, u, halvings)
+            p &= width - 1
+            cur = np.subtract(p, half, out=steps[k, lo:hi])
     return np.ascontiguousarray(steps.T)
+
+
+def _search(p: np.ndarray, u: np.ndarray, halvings) -> np.ndarray:
+    """Branchless lower-bound search in place: halving (s, view) moves p
+    by s where view[p] < u, so p ends on the last entry below u."""
+    for step, ahead in halvings:
+        p += (ahead.take(p) < u) * step
+    return p
+
+
+def _bridge_window(g: np.ndarray) -> int:
+    """Width W of _sample_bridge's window search: the power of two at or
+    above 7 one-step standard deviations of the kernel's middle row, in
+    cells (about 7 sqrt(stability)), or 0, the full search alone, where W
+    would not be under half the row."""
+    n = g.shape[0]
+    row = g[n // 2]
+    d = np.arange(n) - n // 2
+    sd = math.sqrt(float(row @ (d * d)) / float(row.sum()))
+    win = 1 << max(1, math.ceil(7.0 * sd) - 1).bit_length()
+    return win if 2 * win < n else 0
 
 
 def sample_paths(lattice: LoopLattice, n_paths: int, n_steps: int, seed: int,
@@ -396,25 +459,35 @@ def sample_paths(lattice: LoopLattice, n_paths: int, n_steps: int, seed: int,
         paths = _sample_bridge(lattice.free_kernel.matrix, start, end,
                                n_steps, n_paths, rng)
     else:
-        sd = math.sqrt(lattice.hbar * lattice.eps / lattice.mass)
-        x0 = lattice.sites()[start]
-        steps = rng.normal(0.0, sd, size=(n_paths, n_steps))
-        pos = x0 + np.cumsum(steps, axis=1)
-        span = lattice.x_max - lattice.x_min
-        if lattice.boundary == "periodic":
-            idx = np.rint((pos - lattice.x_min) / lattice.delta).astype(np.int64)
-            idx %= lattice.n_sites
-        else:
-            folded = span - np.abs(np.mod(pos - lattice.x_min, 2.0 * span) - span)
-            idx = np.rint(folded / lattice.delta).astype(np.int64)
+        # one array, every operation in place, in the order (and so to the
+        # bit) of rint((x0 + cumsum(steps) - x_min) / delta) and its fold;
+        # rng.normal(0, sd) draws 0 + sd * z from the same z, and adding 0
+        # changes only the sign of a zero, which no site index can show
+        pos = rng.standard_normal((n_paths, n_steps))
+        pos *= math.sqrt(lattice.hbar * lattice.eps / lattice.mass)
+        np.cumsum(pos, axis=1, out=pos)
+        pos += lattice.sites()[start]
+        pos -= lattice.x_min
+        if lattice.boundary == "reflecting":
+            span = lattice.x_max - lattice.x_min
+            np.mod(pos, 2.0 * span, out=pos)
+            pos -= span
+            np.abs(pos, out=pos)
+            np.subtract(span, pos, out=pos)
+        pos /= lattice.delta
+        np.rint(pos, out=pos)
         paths = np.empty((n_paths, n_steps + 1), dtype=np.int64)
         paths[:, 0] = start
-        paths[:, 1:] = idx
+        paths[:, 1:] = pos
+        if lattice.boundary == "periodic":
+            idx = paths[:, 1:]
+            if idx.min() < 0 or idx.max() >= lattice.n_sites:
+                idx %= lattice.n_sites
     # exp(-eps S_u/hbar) with the trapezoid action S_u = u0/2 + sum interior
     # u + u_n/2 -- the kernel's split, so weights times the free chain
     # reproduce T^n exactly
     u = np.asarray(lattice.potential)
-    s = u[paths].sum(axis=1) - 0.5 * (u[paths[:, 0]] + u[paths[:, -1]])
+    s = u.take(paths).sum(axis=1) - 0.5 * (u[paths[:, 0]] + u[paths[:, -1]])
     with np.errstate(over="ignore"):  # inf is refused by PathEnsemble
         w = np.exp(-lattice.eps * s / lattice.hbar)
     return PathEnsemble(n_paths=int(n_paths), n_steps=int(n_steps),
@@ -427,12 +500,16 @@ def mc_propagator(lattice: LoopLattice, x0: int, x1: int, n_steps: int,
 
     Averages the potential weights of sample_paths' free lattice bridge
     x0 -> x1, scaled by the free density (G^n)[x0, x1]/delta; unbiased
-    for propagator(build_kernel(lattice), x0, x1, n_steps).
+    for propagator(build_kernel(lattice), x0, x1, n_steps).  Where that
+    free density is exactly 0, x1 is out of reach in n_steps and the
+    estimate is (0.0, 0.0), returned without sampling.
     """
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2 for a standard error, "
                          f"got {n_paths}")
     q_free = propagator(lattice.free_kernel, x0, x1, n_steps)
+    if q_free == 0.0:
+        return 0.0, 0.0
     w = sample_paths(lattice, n_paths, n_steps, seed, "loop", x0, x1).weights
     est = q_free * float(np.mean(w))
     se = q_free * float(np.std(w, ddof=1)) / math.sqrt(n_paths)

@@ -53,6 +53,26 @@ LOOPGAS_BATTERY_SHA256 = (
 HARMONIC_LOOP_PATHS_SHA256 = (
     "aabc4ad54a1321bce3650726e1799105edac79853cd301418fdc6837bed379b9")
 
+# sha256 of open-mode paths then weights, taken before open mode was built
+# in place: the harmonic 161-site lattice (x in [-8, 8], eps = 0.01) at
+# 10,000 x 100, seed 7; starts at sites 2 and 158 on both boundaries
+# (paths cross the periodic seam or fold at a wall), 2000 x 400, seed 11;
+# and the 21-site reflecting box, 500 x 100, seed 4
+OPEN_PATHS_SHA256 = {
+    ("periodic", 161, None, 10000, 100, 7):
+        "37ba0c3159f956d6cbbec192a67a014ef002233b7d677dadf455510caa253f10",
+    ("periodic", 161, 2, 2000, 400, 11):
+        "37b93f73da290cfc0cd429a402baed4d9ed3fd1c568dd035ad3a7d8c580b483a",
+    ("periodic", 161, 158, 2000, 400, 11):
+        "e3ff776d01110cb0a979850e3d7a32cfe949544ea77899bf2601c8ec9f701b1e",
+    ("reflecting", 161, 2, 2000, 400, 11):
+        "1e7d356943af2b01dac6286ce54166ea0ab25c4cfff48dba5a6a96e507c43497",
+    ("reflecting", 161, 158, 2000, 400, 11):
+        "07655e18e4d07568cf0d31967bd979143148f71b9527976bf5f5856e34bf0a03",
+    ("reflecting", 21, None, 500, 100, 4):
+        "136bcfa73064f0ccc0718eae67f0cd7748bcd5118fbb639fc1cd22ddac3b0533",
+}
+
 _spec = importlib.util.spec_from_file_location(
     "bridge_reference", Path(__file__).parent / "oracles" / "bridge_reference.py")
 bridge_reference = importlib.util.module_from_spec(_spec)
@@ -232,6 +252,44 @@ def test_propagator_slices_validation(fine_free):
         propagator_slices(k, -1, 10)
     with pytest.raises(TypeError):
         propagator_slices(k, 0.5, 10)
+
+
+def test_propagator_kept_row_matches_fresh_kernel(fine_harmonic):
+    # each call equals the same call on a kernel that has evolved nothing
+    lat, k = fine_harmonic
+    kernel = build_kernel(lat)
+    for x0, x1, n in ((90, 95, 40), (90, 120, 40), (110, 95, 40),
+                      (90, 95, 41), (90, 95, 40), (90, 101, 40)):
+        got = propagator(kernel, x0, x1, n)
+        assert got == propagator(build_kernel(lat), x0, x1, n)
+        assert got == list(propagator_slices(k, x0, n))[-1][x1]
+        assert kernel.kept_row[0] == (x0, n)
+
+
+def test_propagator_kept_row_is_per_kernel(fine_free, fine_harmonic):
+    lat, _ = fine_harmonic
+    free, harm = build_kernel(fine_free[0]), build_kernel(lat)
+    a = propagator(free, 100, 104, 30)
+    assert harm.kept_row is None
+    b = propagator(harm, 100, 104, 30)
+    assert b != a and b == propagator(build_kernel(lat), 100, 104, 30)
+    assert propagator(free, 100, 104, 30) == a
+
+
+def test_propagator_validates_before_the_kept_row(fine_free):
+    # arguments equal to the kept key but of the wrong type still raise
+    lat, k = fine_free
+    kernel = build_kernel(lat)
+    q = propagator(kernel, 1, 3, 5)
+    for x0, n in ((True, 5), (1.0, 5), (np.float64(1.0), 5), (1, 5.0)):
+        with pytest.raises(TypeError):
+            propagator(kernel, x0, 3, n)
+    with pytest.raises(TypeError):
+        propagator(kernel, 1, True, 5)
+    with pytest.raises(ValueError):
+        propagator(kernel, 1, 201, 5)
+    assert propagator(kernel, np.int64(1), 3, np.int64(5)) == q
+    assert q == propagator(k, 1, 3, 5)
 
 
 # --- loop integral and entropy ----------------------------------------------------
@@ -487,6 +545,18 @@ def test_open_paths_fold_at_reflecting_walls():
     assert paths.min() == 0 and paths.max() == lat.n_sites - 1
 
 
+@pytest.mark.parametrize("case", list(OPEN_PATHS_SHA256),
+                         ids=lambda c: "-".join(str(v) for v in c))
+def test_open_paths_hash_pinned(case):
+    boundary, n_sites, start, n_paths, n_steps, seed = case
+    x_max = 8.0 if n_sites == 161 else 0.5
+    lat = _quiet_lattice(-x_max, x_max, n_sites, 0.01, boundary=boundary,
+                         potential=lambda x: 0.5 * x * x)
+    ens = sample_paths(lat, n_paths, n_steps, seed, "open", start)
+    digest = hashlib.sha256(ens.paths.tobytes() + ens.weights.tobytes())
+    assert digest.hexdigest() == OPEN_PATHS_SHA256[case]
+
+
 def test_loop_paths_pinned(fine_harmonic):
     lat, _ = fine_harmonic
     ens = sample_paths(lat, 300, 40, seed=5, mode="loop")
@@ -542,6 +612,19 @@ def test_sampling_validation(fine_free):
         PathEnsemble(n_paths=1, n_steps=1, seed=0,
                      paths=np.zeros((1, 2), dtype=np.int64),
                      weights=np.array([0.0]))
+
+
+@pytest.mark.parametrize("n_steps", (1, 3))
+def test_bridge_to_unreachable_end_raises(n_steps):
+    # 160 cells in 1 or 3 steps of one cell's spread: the free chain's
+    # weight underflows to 0, so no path can get there
+    lat = make_lattice(-8, 8, 161, 0.01, boundary="reflecting")
+    with pytest.raises(ValueError, match="end_site"):
+        sample_paths(lat, 5, n_steps, 1, "loop", 0, 160)
+    assert propagator(lat.free_kernel, 0, 160, n_steps) == 0.0
+    assert mc_propagator(lat, 0, 160, n_steps, 10, 0) == (0.0, 0.0)
+    assert sample_paths(lat, 5, n_steps, 1, "loop", 0, 2).paths.shape == (
+        5, n_steps + 1)
 
 
 def test_mc_propagator_free_exact(fine_free):
@@ -604,7 +687,32 @@ _BRIDGE_CASES = [
     ("periodic", 201, 2, 198, 100, 2000,
      dict(eps=0.005, potential=lambda x: 0.5 * x * x)),
     ("periodic", 161, 0, 0, 60, 3000, {}),
+    # the window search (W = 8 at these stability numbers) beside the walls
+    # and the seam: starts and ends at sites 0-2 and n-3..n-1
+    ("reflecting", 161, 0, 2, 30, 2000, {}),
+    ("reflecting", 161, 160, 158, 30, 2000, {}),
+    ("reflecting", 161, 1, 159, 100, 2000, {}),  # drifts 1.6 cells a step
+    ("periodic", 161, 159, 1, 30, 2000, {}),
+    ("periodic", 161, 2, 160, 30, 2000, {}),
+    ("periodic", 201, 200, 0, 40, 2000, dict(eps=0.005)),
+    # stability 3.1 (W = 16) and 10 (W = 32), where the window sizes itself
+    ("periodic", 201, 90, 110, 60, 3000, dict(eps=0.02)),
+    ("reflecting", 201, 2, 198, 40, 3000, dict(eps=0.064)),
+    ("periodic", 201, 1, 199, 40, 3000, dict(eps=0.064)),
 ]
+
+
+class _ZeroDraws:
+    """A generator whose every fifth uniform draw is exactly 0.0, so a path
+    at any site must count 0 entries and jump to site 0."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def random(self, size):
+        r = self.rng.random(size)
+        r[::5] = 0.0
+        return r
 
 
 @pytest.mark.parametrize(
@@ -621,6 +729,22 @@ def test_bridge_matches_reference_route(boundary, n_sites, start, end,
     ref = bridge_reference.sample_bridge(g, start, end, n_steps, n_paths,
                                          np.random.default_rng(21))
     assert bridge_reference.CHUNK == _CHUNK
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("boundary, n_sites, start, end, eps", [
+    ("periodic", 161, 80, 80, 0.01),
+    ("reflecting", 161, 30, 100, 0.01),
+    ("periodic", 201, 100, 100, 0.064),
+])
+def test_bridge_zero_draws_match_reference_route(boundary, n_sites, start,
+                                                 end, eps):
+    lat = _quiet_lattice(-8.0, 8.0, n_sites, eps, boundary=boundary)
+    g = _free_gaussian(lat)
+    got = _sample_bridge(g, start, end, 30, 1000, _ZeroDraws(3))
+    ref = bridge_reference.sample_bridge(g, start, end, 30, 1000,
+                                         _ZeroDraws(3))
+    assert np.any(got[:, 1:-1] == 0)
     assert np.array_equal(got, ref)
 
 
