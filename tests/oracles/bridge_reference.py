@@ -2,15 +2,17 @@
 
 This is the original gather/cumsum sampler.  At every step it gathers the
 kernel rows g[cur] of all paths (paths x sites), weights them by the
-backward partials, takes their cumulative sums and counts the entries
-below a uniform draw.  The library instead sums, at each step, only the
-kernel rows between the lowest and highest site its paths occupy (a row's
-cumulative sum does not depend on its neighbours), pads each row with +inf
-to a power-of-two width, and runs one branchless lower-bound search for
-all paths at once.  A padded entry is never below a finite draw, so the
-search counts the same entries as the comparison here.  Both routes make the same floating-point operations and
-the same random draws in the same order, so tests/test_loopgas.py requires
-equal paths, not close ones.  Imported by the tests; it has no script entry.
+backward partials, takes their cumulative sums and counts the entries at
+or below a uniform draw, so every step lands on a site of positive
+weight.  The library instead sums, at each step, only the kernel rows
+between the lowest and highest site its paths occupy (a row's cumulative
+sum does not depend on its neighbours), pads each row with +inf to a
+power-of-two width, and runs one branchless search for all paths at
+once.  A padded entry is never at or below a finite draw, so the search
+counts the same entries as the comparison here.  Both routes make the
+same floating-point operations and the same random draws in the same
+order, so tests/test_loopgas.py requires equal paths, not close ones.
+Imported by the tests; it has no script entry.
 """
 
 import numpy as np
@@ -38,6 +40,6 @@ def sample_bridge(g: np.ndarray, start: int, end: int, n_steps: int,
             w = g[cur] * b[n_steps - k][None, :]
             cs = np.cumsum(w, axis=1)
             u = rng.random(cur.size) * cs[:, -1]
-            cur = np.minimum((cs < u[:, None]).sum(axis=1), n - 1)
+            cur = np.minimum((cs <= u[:, None]).sum(axis=1), n - 1)
             paths[lo: lo + cur.size, k] = cur
     return paths

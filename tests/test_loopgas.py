@@ -8,7 +8,6 @@ tests/oracles/heat_kernel.py and are frozen here.
 import hashlib
 import importlib.util
 import math
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -79,21 +78,15 @@ bridge_reference = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bridge_reference)
 
 
-def _quiet_lattice(*args, **kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return make_lattice(*args, **kwargs)
-
-
 @pytest.fixture(scope="module")
 def fine_free():
-    lat = _quiet_lattice(-8.0, 8.0, 201, 0.01)
+    lat = make_lattice(-8.0, 8.0, 201, 0.01)
     return lat, build_kernel(lat)
 
 
 @pytest.fixture(scope="module")
 def fine_harmonic():
-    lat = _quiet_lattice(-8.0, 8.0, 201, 0.01, potential=lambda x: x * x / 2)
+    lat = make_lattice(-8.0, 8.0, 201, 0.01, potential=lambda x: x * x / 2)
     return lat, build_kernel(lat)
 
 
@@ -120,8 +113,24 @@ def test_lattice_validation():
 def test_lattice_stability_number():
     lat = make_lattice(-1.0, 1.0, 21, 0.005)  # delta = 0.1, ratio = 0.5
     assert abs(lat.stability - 0.5) < 1e-12
-    with pytest.warns(UserWarning):
-        make_lattice(-1.0, 1.0, 21, 0.02)  # ratio = 2.0
+
+
+@pytest.mark.parametrize("stability", (0.25, 0.49, 1.0))
+def test_lattice_step_gains_the_poisson_mass(stability):
+    # LoopLattice's stated accuracy: by Poisson summation an interior row
+    # of the free periodic kernel sums to 1 + 2 sum_k exp(-2 pi^2 k^2 S)
+    lat = make_lattice(-8.0, 8.0, 161, stability / 100.0)  # delta = 0.1
+    excess = float(lat.free_kernel.matrix[80].sum()) - 1.0
+    poisson = 2.0 * sum(math.exp(-2.0 * math.pi ** 2 * k * k * lat.stability)
+                        for k in range(1, 5))
+    assert abs(excess - poisson) < 1e-12
+
+
+@pytest.mark.parametrize("stability", (0.25, 1.0, 2.0, 10.0))
+def test_lattice_accepts_any_stability_silently(stability, recwarn):
+    lat = make_lattice(-8.0, 8.0, 161, stability / 100.0)
+    assert np.all(build_kernel(lat).matrix >= 0.0)
+    assert not recwarn.list
 
 
 def test_lattice_geometry():
@@ -136,7 +145,7 @@ def test_lattice_geometry():
 
 def test_kernel_row_sums_near_one():
     # sigma = sqrt(hbar*eps/m) = 0.5 = 6.25 sites: well resolved
-    lat = _quiet_lattice(-8.0, 8.0, 201, 0.25)
+    lat = make_lattice(-8.0, 8.0, 201, 0.25)
     k = build_kernel(lat)
     sums = k.matrix.sum(axis=1)
     assert np.all(np.abs(sums - 1.0) < 0.01)
@@ -148,16 +157,15 @@ def test_kernel_symmetric_exactly(fine_harmonic):
 
 
 def test_kernel_constant_potential_factor():
-    base = _quiet_lattice(-2.0, 2.0, 41, 0.05)
-    shifted = _quiet_lattice(-2.0, 2.0, 41, 0.05, potential=lambda x: 3.0)
+    base = make_lattice(-2.0, 2.0, 41, 0.05)
+    shifted = make_lattice(-2.0, 2.0, 41, 0.05, potential=lambda x: 3.0)
     k0, kc = build_kernel(base), build_kernel(shifted)
     factor = math.exp(-0.05 * 3.0)
     assert np.allclose(kc.matrix, factor * k0.matrix, rtol=1e-12)
 
 
 def test_kernel_positive_entries_periodic_free():
-    with pytest.warns(UserWarning):
-        lat = make_lattice(-2.0, 2.0, 41, 0.25)
+    lat = make_lattice(-2.0, 2.0, 41, 0.25)
     assert np.all(build_kernel(lat).matrix > 0.0)
 
 
@@ -168,8 +176,8 @@ def test_kernel_positive_entries_periodic_free():
     (161, 0.01, "periodic", lambda x: 2000.0 * x * x),  # dressing underflows
 ])
 def test_kernels_have_no_subnormal_entries(n_sites, eps, boundary, potential):
-    lat = _quiet_lattice(-8.0, 8.0, n_sites, eps, potential=potential,
-                         boundary=boundary)
+    lat = make_lattice(-8.0, 8.0, n_sites, eps, potential=potential,
+                       boundary=boundary)
     tiny = np.finfo(float).tiny
     for k in (lat.free_kernel, build_kernel(lat)):
         m = k.matrix
@@ -179,7 +187,7 @@ def test_kernels_have_no_subnormal_entries(n_sites, eps, boundary, potential):
 
 def test_kernel_matrix_read_only():
     # the cached spectrum is only valid while the matrix cannot change
-    k = build_kernel(_quiet_lattice(-2.0, 2.0, 41, 0.05))
+    k = build_kernel(make_lattice(-2.0, 2.0, 41, 0.05))
     with pytest.raises(ValueError):
         k.matrix[0, 0] = 1.0
     with pytest.raises(ValueError):
@@ -309,8 +317,8 @@ def test_loop_partition_harmonic_spectral_sum(fine_harmonic):
 
 
 def test_loop_partition_constant_shift():
-    base = _quiet_lattice(-2.0, 2.0, 41, 0.05)
-    shifted = _quiet_lattice(-2.0, 2.0, 41, 0.05, potential=lambda x: 1.5)
+    base = make_lattice(-2.0, 2.0, 41, 0.05)
+    shifted = make_lattice(-2.0, 2.0, 41, 0.05, potential=lambda x: 1.5)
     z0 = loop_partition(build_kernel(base), 20)
     zc = loop_partition(build_kernel(shifted), 20)
     assert abs(zc - z0 * math.exp(-20 * 0.05 * 1.5)) < 1e-10 * z0
@@ -330,8 +338,8 @@ def test_path_entropy_monotone_free(fine_free):
 
 
 def test_path_entropy_constant_shift():
-    base = _quiet_lattice(-2.0, 2.0, 41, 0.05)
-    shifted = _quiet_lattice(-2.0, 2.0, 41, 0.05, potential=lambda x: 2.0)
+    base = make_lattice(-2.0, 2.0, 41, 0.05)
+    shifted = make_lattice(-2.0, 2.0, 41, 0.05, potential=lambda x: 2.0)
     s0 = path_entropy(build_kernel(base), 30)
     sc = path_entropy(build_kernel(shifted), 30)
     assert abs(sc - (s0 - 30 * 0.05 * 2.0)) < 1e-10
@@ -346,7 +354,7 @@ def test_path_entropies_match_single_steps(fine_harmonic):
 
 
 def test_loop_traces_share_one_eigensolve(monkeypatch):
-    lat = _quiet_lattice(-8.0, 8.0, 161, 0.01, potential=lambda x: x * x / 2)
+    lat = make_lattice(-8.0, 8.0, 161, 0.01, potential=lambda x: x * x / 2)
     ns = (50, 100, 200)
 
     def battery(fresh):
@@ -373,7 +381,7 @@ def test_loop_traces_share_one_eigensolve(monkeypatch):
 def test_lattice_builds_its_free_gaussian_once(monkeypatch):
     # build_kernel, the loop-mode bridge and mc_propagator share the
     # lattice's free_kernel, so its Gaussian is built on first use only
-    lat = _quiet_lattice(-8.0, 8.0, 201, 0.005, potential=lambda x: x * x / 2)
+    lat = make_lattice(-8.0, 8.0, 201, 0.005, potential=lambda x: x * x / 2)
     calls = []
 
     def counted(lattice):
@@ -519,8 +527,7 @@ def test_shannon_entropy_nondecreasing_free(fine_free):
 
 
 def test_open_paths_free_weights_one():
-    with pytest.warns(UserWarning):
-        lat = make_lattice(-20.0, 20.0, 801, 0.01)
+    lat = make_lattice(-20.0, 20.0, 801, 0.01)
     ens = sample_paths(lat, 500, 50, seed=1, mode="open")
     assert np.all(ens.weights == 1.0)
     assert ens.paths.shape == (500, 51)
@@ -529,8 +536,7 @@ def test_open_paths_free_weights_one():
 def test_open_paths_variance_growth():
     # far from the walls either boundary leaves the free spread
     for boundary in ("periodic", "reflecting"):
-        with pytest.warns(UserWarning):
-            lat = make_lattice(-20.0, 20.0, 801, 0.01, boundary=boundary)
+        lat = make_lattice(-20.0, 20.0, 801, 0.01, boundary=boundary)
         ens = sample_paths(lat, 10 ** 5, 100, seed=3, mode="open")
         xs = lat.sites()
         dx = xs[ens.paths[:, -1]] - xs[ens.paths[:, 0]]
@@ -540,7 +546,7 @@ def test_open_paths_variance_growth():
 
 def test_open_paths_fold_at_reflecting_walls():
     # a narrow box: the fold keeps every site inside, walls included
-    lat = _quiet_lattice(-0.5, 0.5, 21, 0.01, boundary="reflecting")
+    lat = make_lattice(-0.5, 0.5, 21, 0.01, boundary="reflecting")
     paths = sample_paths(lat, 500, 100, seed=4, mode="open").paths
     assert paths.min() == 0 and paths.max() == lat.n_sites - 1
 
@@ -550,8 +556,8 @@ def test_open_paths_fold_at_reflecting_walls():
 def test_open_paths_hash_pinned(case):
     boundary, n_sites, start, n_paths, n_steps, seed = case
     x_max = 8.0 if n_sites == 161 else 0.5
-    lat = _quiet_lattice(-x_max, x_max, n_sites, 0.01, boundary=boundary,
-                         potential=lambda x: 0.5 * x * x)
+    lat = make_lattice(-x_max, x_max, n_sites, 0.01, boundary=boundary,
+                       potential=lambda x: 0.5 * x * x)
     ens = sample_paths(lat, n_paths, n_steps, seed, "open", start)
     digest = hashlib.sha256(ens.paths.tobytes() + ens.weights.tobytes())
     assert digest.hexdigest() == OPEN_PATHS_SHA256[case]
@@ -585,7 +591,7 @@ def test_sampling_reproducible(fine_harmonic):
 
 @pytest.mark.parametrize("n_paths", (300, _CHUNK + 77))
 def test_loop_paths_layout_and_weights(n_paths):
-    lat = _quiet_lattice(-2.0, 2.0, 41, 0.05, potential=lambda x: x * x)
+    lat = make_lattice(-2.0, 2.0, 41, 0.05, potential=lambda x: x * x)
     ens = sample_paths(lat, n_paths, 20, seed=8, mode="loop")
     assert ens.paths.shape == (n_paths, 21)
     assert ens.paths.dtype == np.int64 and ens.paths.flags.c_contiguous
@@ -704,7 +710,8 @@ _BRIDGE_CASES = [
 
 class _ZeroDraws:
     """A generator whose every fifth uniform draw is exactly 0.0, so a path
-    at any site must count 0 entries and jump to site 0."""
+    at any site steps to the first site of positive weight in its row (the
+    same paths draw 0.0 at every step, and walk down to site 0)."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
@@ -722,7 +729,7 @@ class _ZeroDraws:
 def test_bridge_matches_reference_route(boundary, n_sites, start, end,
                                         n_steps, n_paths, lattice_kw):
     kw = {"x_min": -8.0, "x_max": 8.0, "eps": 0.01, **lattice_kw}
-    lat = _quiet_lattice(n_sites=n_sites, boundary=boundary, **kw)
+    lat = make_lattice(n_sites=n_sites, boundary=boundary, **kw)
     g = _free_gaussian(lat)
     got = _sample_bridge(g, start, end, n_steps, n_paths,
                          np.random.default_rng(21))
@@ -732,14 +739,18 @@ def test_bridge_matches_reference_route(boundary, n_sites, start, end,
     assert np.array_equal(got, ref)
 
 
-@pytest.mark.parametrize("boundary, n_sites, start, end, eps", [
+_ZERO_DRAW_CASES = [
     ("periodic", 161, 80, 80, 0.01),
     ("reflecting", 161, 30, 100, 0.01),
     ("periodic", 201, 100, 100, 0.064),
-])
+]
+
+
+@pytest.mark.parametrize("boundary, n_sites, start, end, eps",
+                         _ZERO_DRAW_CASES)
 def test_bridge_zero_draws_match_reference_route(boundary, n_sites, start,
                                                  end, eps):
-    lat = _quiet_lattice(-8.0, 8.0, n_sites, eps, boundary=boundary)
+    lat = make_lattice(-8.0, 8.0, n_sites, eps, boundary=boundary)
     g = _free_gaussian(lat)
     got = _sample_bridge(g, start, end, 30, 1000, _ZeroDraws(3))
     ref = bridge_reference.sample_bridge(g, start, end, 30, 1000,
@@ -748,8 +759,19 @@ def test_bridge_zero_draws_match_reference_route(boundary, n_sites, start,
     assert np.array_equal(got, ref)
 
 
+@pytest.mark.parametrize("boundary, n_sites, start, end, eps",
+                         _ZERO_DRAW_CASES)
+def test_bridge_zero_draws_take_no_step_of_weight_zero(boundary, n_sites,
+                                                       start, end, eps):
+    # a draw of 0.0 counts the row's leading zeros, not none of its entries
+    lat = make_lattice(-8.0, 8.0, n_sites, eps, boundary=boundary)
+    g = _free_gaussian(lat)
+    paths = _sample_bridge(g, start, end, 30, 1000, _ZeroDraws(3))
+    assert np.all(g[paths[:, :-1], paths[:, 1:]] > 0.0)
+
+
 def test_bridge_ensemble_hash_pinned():
-    lat = _quiet_lattice(-8.0, 8.0, 161, 0.01, potential=lambda x: x * x / 2)
+    lat = make_lattice(-8.0, 8.0, 161, 0.01, potential=lambda x: x * x / 2)
     paths = sample_paths(lat, 2000, 100, seed=5, mode="loop").paths
     digest = hashlib.sha256(paths.tobytes()).hexdigest()
     assert digest == HARMONIC_LOOP_PATHS_SHA256
