@@ -167,10 +167,21 @@ def _model_from_args(args) -> ColeColeModel:
                          r_s=args.rs)
 
 
+def _log_grid(args, lo: str, hi: str) -> np.ndarray:
+    """args.points log-spaced values from flag --lo to flag --hi."""
+    for flag in (lo, hi):
+        v = getattr(args, flag)
+        if not (0.0 < v < math.inf):
+            raise ValueError(f"--{flag} must be positive and finite, got {v}")
+    if args.points < 1:
+        raise ValueError(f"--points must be >= 1, got {args.points}")
+    return np.logspace(math.log10(getattr(args, lo)),
+                       math.log10(getattr(args, hi)), args.points)
+
+
 def _cmd_impedance(args) -> int:
     model = _model_from_args(args)
-    w = np.logspace(math.log10(args.wmin), math.log10(args.wmax),
-                    args.points)
+    w = _log_grid(args, "wmin", "wmax")
     z = cole_cole_impedance(model, w)
     return _emit(args, table={"omega_rad_s": w, "re_z_ohm": z.real,
                               "im_z_ohm": z.imag})
@@ -427,8 +438,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_synth(args) -> int:
     model = _model_from_args(args)
-    freq = np.logspace(math.log10(args.fmin), math.log10(args.fmax),
-                       args.points)
+    freq = _log_grid(args, "fmin", "fmax")
     spec = synth_spectrum(model, 2.0 * math.pi * freq, args.noise, args.seed)
     if args.out:
         save_spectrum(spec, args.out)

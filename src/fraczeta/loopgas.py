@@ -248,24 +248,15 @@ def propagator(kernel: TransferKernel, x0: int, x1: int, n_steps: int) -> float:
     return float(kernel.kept_row[1][x1])
 
 
-def _loop_traces(kernel: TransferKernel, first: int, n_steps: int) -> list:
-    """Tr T^n for n = first..n_steps, from the kernel's cached spectrum."""
+def loop_partition(kernel: TransferKernel, n_steps: int) -> float:
+    """Lattice loop integral over closed paths: Tr(T^n), from the kernel's
+    cached spectrum of the symmetric operator."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    lam = kernel.spectrum
-    out = []
-    for n in range(first, n_steps + 1):
-        z = float(np.sum(lam ** n))
-        if not (z > 0.0):
-            raise ArithmeticError(f"loop partition {z} is not positive")
-        out.append(z)
-    return out
-
-
-def loop_partition(kernel: TransferKernel, n_steps: int) -> float:
-    """Lattice loop integral over closed paths: Tr(T^n), via the spectrum
-    of the symmetric operator."""
-    return _loop_traces(kernel, n_steps, n_steps)[0]
+    z = float(np.sum(kernel.spectrum ** n_steps))
+    if not (z > 0.0):
+        raise ArithmeticError(f"loop partition {z} is not positive")
+    return z
 
 
 def path_entropy(kernel: TransferKernel, n_steps: int) -> float:
@@ -274,9 +265,10 @@ def path_entropy(kernel: TransferKernel, n_steps: int) -> float:
 
 
 def path_entropies(kernel: TransferKernel, n_steps: int) -> np.ndarray:
-    """path_entropy(kernel, n) for n = 1..n_steps, bit for bit, from one
-    eigensolve."""
-    return np.array([math.log(z) for z in _loop_traces(kernel, 1, n_steps)])
+    """path_entropy(kernel, n) for n = 1..n_steps, from one eigensolve."""
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    return np.array([path_entropy(kernel, n) for n in range(1, n_steps + 1)])
 
 
 def fluctuation_bound(beta: float, dt: float, mass: float = 1.0,

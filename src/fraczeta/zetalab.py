@@ -51,33 +51,25 @@ _RS_SCAN_BLOCK = 4096  # points per _z_rs call; 1.3 MB arrays at t = 1e4
 _Z_TOL = 1e-12        # Bernoulli-tail tolerance of every Z evaluation
 _SCALAR_CELLS = 2 ** 16  # phase entries per part of a _z_scalar call, 1 MB
 
-# B_{2k}/(2k)! for k = 0..cap+1, the only Bernoulli data the tail needs:
-# the floats scipy.special.bernoulli(2*cap + 2)[0::2] divided by (2k)!
-# gives, kept bit for bit so every Euler-Maclaurin sum stays unchanged
-# (they are not the nearest floats to the exact ratios; see test_zetalab)
-_B2F = (
-    1.0, 0.08333333333333333, -0.0013888888888864963, 3.306878306878106e-05,
-    -8.267195767195686e-07, 2.087675698786806e-08, -5.284190138687491e-10,
-    1.3382536530684685e-11, -3.389680296322585e-13, 8.586062056277853e-15,
-    -2.1748686985580641e-16, 5.5090028283602365e-18, -1.3954464685812542e-19,
-    3.5347070396294725e-21, -8.95351742703756e-23, 2.2679524523376862e-24,
-    -5.74479066887221e-26, 1.455172475614867e-27, -3.6859949406653153e-29,
-    9.336734257095059e-31, -2.365022415700634e-32, 5.990671762482143e-34,
-    -1.5174548844682927e-35, 3.843758125454195e-37, -9.736353072646711e-39,
-    2.466247044200686e-40, -6.247076741820757e-42, 1.5824030244644948e-43,
-    -4.0082736859489445e-45, 1.0153075855569579e-46, -2.571804158241878e-48,
-    6.514456035233831e-50, -1.6501309906896566e-51, 4.179830628539488e-53,
-    -1.058763466770294e-54, 2.681879191260779e-56, -6.793279351107443e-58,
-    1.720757761668146e-59, -4.358730329348908e-61, 1.1040792903684705e-62,
-    -2.7966655133781443e-64, 7.084036501679495e-66, -1.7944074082892307e-67,
-    4.5452870636111126e-69, -1.1513346631982095e-70, 2.916364771092372e-72,
-    -7.387238263497364e-74, 1.871209311763802e-75, -4.739828557761817e-77,
-    1.200612599335455e-78, -3.0411872415143037e-80, 7.703417274705134e-82,
-    -1.9512983909098906e-83, 4.9426965651594806e-85, -1.2519996659171898e-86,
-    3.1713522017635287e-88, -8.033128970735369e-90, 2.034815339166155e-91,
-    -5.154247466447497e-93, 1.3055861352149526e-94, -3.3070883141751066e-96,
-    8.376952560049131e-98,
-)
+
+def _bernoulli(count):
+    """B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), k = 1..count, as exact
+    (numerator, denominator) pairs; the tangent numbers T_k come from Brent
+    and Harvey's in-place integer recurrence (arXiv:1108.0286)."""
+    t = [0, 1] + [0] * (count - 1)
+    for k in range(2, count + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return [((-1) ** (k - 1) * 2 * k * t[k], 4 ** k * (4 ** k - 1))
+            for k in range(1, count + 1)]
+
+
+# B_{2k}/(2k)! for k = 0..cap+1, the only Bernoulli data the tail needs;
+# Python rounds int / int correctly, so each is the nearest float
+_B2F = (1.0,) + tuple(n / (d * math.factorial(2 * k)) for k, (n, d)
+                      in enumerate(_bernoulli(_M_CAP + 1), 1))
 
 
 class ZetaAccuracyError(ArithmeticError):
@@ -350,8 +342,8 @@ def completed_xi(s: complex) -> complex:
 
 
 # B_{2k}/(2k(2k-1)), k = 1..7: the Stirling series of log Gamma
-_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
-             1 / 156)
+_STIRLING = tuple(n / (d * 2 * k * (2 * k - 1)) for k, (n, d)
+                  in enumerate(_bernoulli(7), 1))
 
 
 def _rs_theta(t):

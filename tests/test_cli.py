@@ -15,6 +15,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +220,21 @@ def test_impedance_table_matches_library(capsys):
         z = cole_cole_impedance(model, float(row[0]))
         assert float(row[1]) == z.real
         assert float(row[2]) == z.imag
+
+
+@pytest.mark.parametrize("command", ("impedance", "synth"))
+@pytest.mark.parametrize("flag, value", [
+    ("min", "0"), ("min", "-1"), ("min", "nan"), ("max", "inf"),
+    ("points", "-1"), ("points", "0")])
+def test_log_grid_flags_refused_by_name(capsys, command, flag, value):
+    if flag != "points":
+        flag = ("w" if command == "impedance" else "f") + flag
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dispatch([command, f"--{flag}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --{flag} must be ")
+    assert "Warning" not in err
 
 
 def test_ml_at_zero_is_one(capsys):
@@ -645,6 +661,7 @@ _COLD_START = """
 import json, sys
 import numpy as np
 import fraczeta.cli
+rational = sorted(m for m in ("fractions", "decimal") if m in sys.modules)
 from fraczeta import eprspace, fitkit, fracdyn, loopgas, zetalab
 
 def scipy_modules():
@@ -661,7 +678,7 @@ eprspace.factorize(360)
 before = scipy_modules()
 spec = fitkit.synth_spectrum(fracdyn.ColeColeModel(0.8, 1e-3, 50.0, 5.0),
                              np.logspace(0.0, 6.0, 30), 0.0, 0)
-print(json.dumps({"before": before,
+print(json.dumps({"rational": rational, "before": before,
                   "alpha": fitkit.fit_cole_cole(spec).model.alpha,
                   "mellin": zetalab.heat_trace_mellin([1.0, 2.0], 2.0),
                   "after": scipy_modules()}))
@@ -671,7 +688,8 @@ print(json.dumps({"before": before,
 def test_scipy_stays_off_the_import_path():
     """Importing the CLI and running the zeta, GUE, loop-gas and lattice
     calls loads no scipy module; the fit and the heat-trace transform
-    load it when first called."""
+    load it when first called.  The import loads neither fractions nor
+    decimal: the Bernoulli table is built in integers."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
@@ -679,6 +697,7 @@ def test_scipy_stays_off_the_import_path():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
+    assert out["rational"] == []
     assert out["before"] == []
     assert abs(out["alpha"] - 0.8) < 1e-6
     assert abs(out["mellin"] - 1.25) < 1e-10
@@ -742,8 +761,8 @@ PINNED = {
         "af15aeafdad778d1e979e87aed830cf69c08b66b4a1c741924f8204b516d413d",
         "8f22339568c0dad23f8735bf9dd9d40e2bca1ae39b570fdff0c0c8ec30695f68"),
     "zeta eval --re 0.5 --im 25": (
-        "f7b85127fdb5adaec1f222dd304fe0aef2af71434ca3c74d1026843a93a08615",
-        "d2b007dcd5531a0d4c6c25739dd87b992e28208efc89786e6c4c64325c6cfbc4"),
+        "20f19f0b01306149d062dd65ac3f4e80966bf632bd56de4859abbb5934c8e7cf",
+        "c956a25d5def11288de2b7e0320542268fd728e0c5159cefb42f56d311dcea36"),
     "zeta zeros --tmax 40": (
         "753666724510cdad208e37e63d9dbd3ade6abf7a2576d6bb26cc69d492c11bf5",
         "d9c91f4edafd5f02872c633af90649fe4b28fcbc41f963d935f69018da502bea"),

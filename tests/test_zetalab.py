@@ -243,35 +243,39 @@ def _exact_b2f(count):
     return [b[2 * k] / math.factorial(2 * k) for k in range(count)]
 
 
-def test_b2f_table_is_scipys_bernoulli_floats():
-    """_B2F is the table the Euler-Maclaurin tail was pinned with, bit for
-    bit: scipy's Bernoulli floats over (2k)!."""
-    from scipy.special import bernoulli
+def test_b2f_table_is_the_nearest_floats():
+    """_B2F, from the tangent numbers, is bit for bit the nearest float to
+    each B_2k/(2k)! of the classical recurrence; _STIRLING keeps the bits
+    of its literal fractions."""
+    from fraczeta.zetalab import _B2F, _M_CAP, _STIRLING
 
-    from fraczeta.zetalab import _B2F, _M_CAP
-
-    formula = bernoulli(2 * _M_CAP + 2)[0::2] / np.array(
-        [math.factorial(2 * k) for k in range(_M_CAP + 2)])  # object dtype
-    assert np.array(_B2F).tobytes() == formula.astype(float).tobytes()
+    assert len(_B2F) == _M_CAP + 2
+    nearest = [float(e) for e in _exact_b2f(_M_CAP + 2)]
+    assert np.array(_B2F).tobytes() == np.array(nearest).tobytes()
+    literal = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
+               -691 / 360360, 1 / 156)
+    assert np.array(_STIRLING).tobytes() == np.array(literal).tobytes()
 
 
 def test_b2f_deviation_from_exact_stays_inside_zeta_bound(monkeypatch):
-    """scipy's B_4 is off by 1.7e-12 relative and B_6 by 6e-14; the rest by
-    under 1e-14.  Exact coefficients move zeta(1/2 + 20i) by far less than
-    its reported bound."""
-    from fractions import Fraction
+    """scipy's Bernoulli floats over (2k)!, the table the tail was first
+    pinned with, are off by 1.7e-12 relative at B_4 and 6e-14 at B_6;
+    swapping them back in moves zeta(1/2 + 20i) by far less than its
+    reported bound."""
+    from scipy.special import bernoulli
 
     from fraczeta import zetalab
 
-    exact = _exact_b2f(len(zetalab._B2F))
-    rel = [abs(float((Fraction(b) - e) / e)) for b, e in zip(zetalab._B2F, exact)]
+    scipy_b2f = (bernoulli(2 * zetalab._M_CAP + 2)[0::2] / np.array(
+        [math.factorial(2 * k) for k in range(zetalab._M_CAP + 2)])
+    ).astype(float)  # object dtype until here
+    rel = np.abs(scipy_b2f / np.array(zetalab._B2F) - 1.0)
     assert 1.7e-12 < rel[2] < 1.8e-12
     assert 5e-14 < rel[3] < 7e-14
-    assert max(rel[:2] + rel[4:]) < 1e-14
     point = zeta(0.5 + 20.0j)
-    monkeypatch.setattr(zetalab, "_B2F", tuple(float(e) for e in exact))
+    monkeypatch.setattr(zetalab, "_B2F", tuple(scipy_b2f))
     moved = abs(zeta(0.5 + 20.0j).value - point.value)
-    assert moved < 1e-2 * point.abs_err_bound
+    assert 0.0 < moved < 1e-2 * point.abs_err_bound
 
 
 def test_Z_modulus_matches_zeta():
@@ -299,7 +303,7 @@ def test_Z_domain():
 # line and 600 inside the strip 0 < Re s < 1, then riemann_siegel_Z at 300
 # seeded t (integers and their next floats among them), as float64 bytes
 REFERENCE_ROUTE_SHA256 = (
-    "3dabec09ffabacc5d8c02d3b6d5b57766e2dd84a58c9bf30e2b3720a8754fca5")
+    "56f9e181ab218b9e589b27b4f9e5fccb9926dd6d10705ceb42c9c2e79e7028ff")
 
 
 def _reference_route_digest():
