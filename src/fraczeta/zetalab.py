@@ -10,7 +10,7 @@ with the classical remainder bound |R| <= |(s+2M+1)/(sigma+2M+1)| times
 the first omitted term; every value carries that bound.  On the
 critical line the Riemann-Siegel rotation Z(t) = exp(i theta(t))
 zeta(1/2+it) is real, and its sign changes localize the zeros; the
-zero scan and bisection decide most signs by the Riemann-Siegel formula,
+zero scan and refinement decide most signs by the Riemann-Siegel formula,
 O(sqrt t) terms, where Gabcke's remainder bound certifies them.  Zero
 lists are unfolded by the smooth counting function
 
@@ -43,10 +43,10 @@ _EPS = 2.220446049250313e-16
 _TWO_PI = 2.0 * math.pi
 _T_CEIL = 1.0e4
 _M_CAP = 60
-_ZERO_TOL = 1e-9      # bracket width find_zeros bisects to and reports
+_ZERO_TOL = 1e-9      # bracket width find_zeros refines to and reports
 _GRID_ROWS = 512      # largest grid chunk; a chunk shares one cutoff N
 _GRID_CELLS = 2 ** 21  # complex entries of the grid factor, 32 MB
-_BISECT_CHUNK = 128   # points per _z_fast call; each chunk gets its own N
+_FAST_CHUNK = 128     # points per _z_fast call; each chunk gets its own N
 _RS_SCAN_BLOCK = 4096  # points per _z_rs call; 1.3 MB arrays at t = 1e4
 _Z_TOL = 1e-12        # Bernoulli-tail tolerance of every Z evaluation
 _SCALAR_CELLS = 2 ** 16  # phase entries per part of a _z_scalar call, 1 MB
@@ -632,20 +632,21 @@ def _certified_z(t: np.ndarray, step: float | None = None):
     Two fast routes are tried in turn, each on the points the one before
     left open: _z_rs in blocks of _RS_SCAN_BLOCK (from its phase tables
     where step says t is the scan grid), then _z_fast in chunks of
-    _BISECT_CHUNK.  No block holds points from both sides of _RS_T_MIN:
+    _FAST_CHUNK.  No block holds points from both sides of _RS_T_MIN:
     a _z_fast chunk's cutoff follows its largest t, and the points below,
     all left open by _z_rs, would pay the cutoff of the few Riemann-Siegel
     misses above.  A value stands only where |z| > gate = its bound +
     _z_scalar_bound_cap(t): both bounds cover Z as the scalar route
     rotates it, so its sign is the scalar route's.  The scalar route
     decides the other n_scalar points, by one _z_scalar call; gate is its
-    bound.
+    bound.  The zero scan reads only the signs; _refine also reads the
+    values, each within its gate of Z, to place its next probes.
     """
     z, gate = np.empty_like(t), np.empty_like(t)
     cap = _z_scalar_bound_cap(t)
     open_ = np.arange(t.size)
     rs = functools.partial(_z_rs, step=step)
-    for route, size in ((rs, _RS_SCAN_BLOCK), (_z_fast, _BISECT_CHUNK)):
+    for route, size in ((rs, _RS_SCAN_BLOCK), (_z_fast, _FAST_CHUNK)):
         cut = np.searchsorted(t[open_], _RS_T_MIN)
         for run in (open_[:cut], open_[cut:]):
             for lo in range(0, run.size, size):
@@ -680,47 +681,74 @@ def _z_scan(t_max: float, grid: float):
     return ts, z, gate, n_scalar
 
 
-def _bisect(a: np.ndarray, b: np.ndarray, za: np.ndarray):
-    """Halve every bracket [a_i, b_i], Z(a_i) = za_i, until b - a <= _ZERO_TOL.
+def _refine(a: np.ndarray, b: np.ndarray, za: np.ndarray, zb: np.ndarray):
+    """Shrink every bracket [a_i, b_i], where Z(a_i) = za_i and Z(b_i) = zb_i
+    differ in sign, until b - a <= _ZERO_TOL.
 
-    Each sweep decides the signs of all live midpoints by one
-    _certified_z call, so every sign equals the scalar route's.  An exact
-    zero closes its bracket.  Returns the centres, the smallest |Z|/gate
-    and the number of scalar decisions.
+    Each sweep probes a live bracket of width w at x - h and x + h around
+    its regula-falsi point x = a + w za/(za - zb), h = max(0.49 _ZERO_TOL,
+    2 w^2): near a simple zero r, x is off by |Z''/2Z'| (r - a)(b - r), at
+    most |Z''/Z'| w^2/8, so the pair straddles r wherever |Z''/Z'| <= 16,
+    and the final pair, 0.98 _ZERO_TOL apart, is within _ZERO_TOL after
+    rounding.  A probe outside (a, b) is dropped.  A
+    bracket that its last sweep did not at least halve is probed once, at
+    its midpoint, so no bracket takes more than twice the sweeps of a
+    bisection.  All probes go to one ascending _certified_z call, so every
+    sign equals the scalar route's.  The bracket becomes the narrowest of
+    its parts whose ends differ in sign; an exact zero closes it.  Returns
+    the centres, the smallest |Z|/gate over the probes and the number of
+    scalar decisions.
     """
-    a, b, za = a.copy(), b.copy(), za.copy()
+    pos, val = np.stack([a, b], axis=1), np.stack([za, zb], axis=1)
+    halve = np.zeros(a.size, dtype=bool)
     margin, n_ref = math.inf, 0
     live = np.nonzero(b - a > _ZERO_TOL)[0]
     while live.size:
-        m = 0.5 * (a[live] + b[live])
-        zm, gate, n_scalar = _certified_z(m)
+        p, z, mid = pos[live], val[live], halve[live]
+        w = p[:, 1] - p[:, 0]
+        x = p[:, 0] + w * (z[:, 0] / (z[:, 0] - z[:, 1]))
+        h = np.maximum(0.49 * _ZERO_TOL, 2.0 * w * w)
+        x[mid], h[mid] = 0.5 * (p[mid, 0] + p[mid, 1]), 0.0
+        q = np.stack([x - h, x + h], axis=1)
+        use = (q > p[:, :1]) & (q < p[:, 1:])
+        use[mid, 1] = False
+        zq = np.empty_like(q)
+        zq[use], gate, n_scalar = _certified_z(q[use])
         n_ref += n_scalar
-        margin = min(margin, float(np.min(np.abs(zm) / gate)))
-        hit = zm == 0.0
-        left = ~hit & ((za[live] < 0.0) == (zm < 0.0))
-        right = ~hit & ~left
-        a[live[left]], za[live[left]] = m[left], zm[left]
-        b[live[right]] = m[right]
-        a[live[hit]] = b[live[hit]] = m[hit]
-        live = live[b[live] - a[live] > _ZERO_TOL]
-    return 0.5 * (a + b), margin, n_ref
+        margin = min(margin, float(np.min(np.abs(zq[use]) / gate)))
+        # a dropped probe stands in for the end beside it
+        ts = np.hstack([p[:, :1], np.where(use, q, p), p[:, 1:]])
+        zs = np.hstack([z[:, :1], np.where(use, zq, z), z[:, 1:]])
+        neg = zs < 0.0
+        part = np.where(neg[:, :-1] != neg[:, 1:], np.diff(ts), np.inf)
+        k = np.argmin(part, axis=1)[:, None]
+        pos[live] = np.take_along_axis(ts, np.hstack([k, k + 1]), axis=1)
+        val[live] = np.take_along_axis(zs, np.hstack([k, k + 1]), axis=1)
+        hit = np.nonzero((zq == 0.0) & use)
+        pos[live[hit[0]]] = q[hit][:, None]
+        halve[live] = ~mid & (pos[live, 1] - pos[live, 0] > 0.5 * w)
+        live = live[pos[live, 1] - pos[live, 0] > _ZERO_TOL]
+    return 0.5 * (pos[:, 0] + pos[:, 1]), margin, n_ref
 
 
 def find_zeros(t_max: float, grid: float = 0.05) -> ZeroList:
-    """Sign-scan Z on the grid and bisect each sign change until the
-    bracket is at most 1e-9 wide; ZeroList.tol reports that bracket width.
+    """Sign-scan Z on the grid and refine each sign change until its
+    bracket is at most 1e-9 wide; each ordinate is the centre of its final
+    bracket, and ZeroList.tol reports that bracket width.
 
     In the grid chunks that start below t = 200 the scan takes Z from the
     factored grid sum (_grid_chunks).  Every later scan point, and every
-    bisection midpoint, goes through one chain, _certified_z:
+    refinement probe, goes through one chain, _certified_z:
     Riemann-Siegel (on the scan, from the grid's phase tables), then a
     t/pi-cutoff Euler-Maclaurin sum, each kept only where it certifies the
-    sign, then the scalar route, batched per call.  The bisection
-    halves all brackets together, and the ordinates equal a scalar
-    bisection's.  ZeroList.min_sign_margin is the smallest |Z|/gate over
-    the scan values at each sign change and over every bisection
-    midpoint.  It is reported, never raised on: a margin below 1 means
-    the last halvings went past what the bounds certify.
+    sign, then the scalar route, batched per call.  The refinement
+    (_refine) probes all brackets together, by regula falsi with a
+    midpoint safeguard, and every sign it reads is the scalar route's, so
+    each final bracket holds a sign change of riemann_siegel_Z.
+    ZeroList.min_sign_margin is the smallest |Z|/gate over the scan
+    values at each sign change and over every probe.  It is reported,
+    never raised on: a margin below 1 means a probe went past what the
+    bounds certify.
 
     The count is checked against the smooth estimate; a mismatch beyond
     +-2 raises MissedZerosError (rerun with a finer grid).
@@ -732,7 +760,8 @@ def find_zeros(t_max: float, grid: float = 0.05) -> ZeroList:
     ts, z, gate, n_scan = _z_scan(t_max, grid)
     flips = np.nonzero(np.sign(z[:-1]) * np.sign(z[1:]) < 0)[0]
     exact_hits = np.nonzero(z == 0.0)[0]
-    centres, margin, n_ref = _bisect(ts[flips], ts[flips + 1], z[flips])
+    centres, margin, n_ref = _refine(ts[flips], ts[flips + 1], z[flips],
+                                     z[flips + 1])
     decided = np.concatenate([flips, flips + 1, exact_hits])
     if decided.size:
         margin = min(margin, float(np.min(np.abs(z[decided]) / gate[decided])))

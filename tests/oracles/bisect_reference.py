@@ -4,16 +4,18 @@ This is the original zero finder.  It evaluates the sign scan in blocks of
 4096 grid points through the direct Euler-Maclaurin main sum, then halves
 each sign change on its own with one riemann_siegel_Z call per step.  The
 library scans by the factored grid sum in the grid chunks that start
-below t = 200, and halves all brackets together.  Every later scan point
-and every midpoint goes through one chain of routes: the Riemann-Siegel
-formula, then an Euler-Maclaurin sum over ascending chunks of points at
-about a third of this file's cutoff.  A sign from either is kept only
-when |Z| clears that route's bound plus a majorant of the scalar
-Euler-Maclaurin bound; every other point is decided by this file's
-scalar evaluation, riemann_siegel_Z.  So both routes make the
-same sign decisions at the same points, and tests/test_zetalab.py
-requires equal ordinates, not close ones.  Imported by the tests; it has
-no script entry.
+below t = 200, and refines all brackets together by regula-falsi probes
+with a midpoint safeguard.  Every later scan point and every probe goes
+through one chain of routes: the Riemann-Siegel formula, then an
+Euler-Maclaurin sum over ascending chunks of points at about a third of
+this file's cutoff.  A sign from either is kept only when |Z| clears
+that route's bound plus a majorant of the scalar Euler-Maclaurin bound;
+every other point is decided by this file's scalar evaluation,
+riemann_siegel_Z.  So every sign either route reads is the scalar one,
+but the two probe different points: tests/test_zetalab.py requires the
+same zero count, ordinates within the bracket width 1e-9 of this
+file's, and a scalar sign change across each library ordinate.
+Imported by the tests; it has no script entry.
 """
 
 import math

@@ -764,8 +764,8 @@ PINNED = {
         "20f19f0b01306149d062dd65ac3f4e80966bf632bd56de4859abbb5934c8e7cf",
         "c956a25d5def11288de2b7e0320542268fd728e0c5159cefb42f56d311dcea36"),
     "zeta zeros --tmax 40": (
-        "753666724510cdad208e37e63d9dbd3ade6abf7a2576d6bb26cc69d492c11bf5",
-        "d9c91f4edafd5f02872c633af90649fe4b28fcbc41f963d935f69018da502bea"),
+        "46f54dc745107ea56c8e1598ec8e16a5cdd0bcb57e5a2e4b085ecf58c80cdb74",
+        "167cfa7f0aef3a56cdcec94ffcd762ebd33c413183ab99dbfd9f2cac0c413459"),
     "zeta paircorr --tmax 260 --bins 10": (
         "6dda376f8340839fe221ab2a9201c1e696b50efcefb46a05e5bb57c56c73707c",
         "c3f6186fd987e6f01e94f1cd7873986f63c57af243986b2b0c313fd94bec89c3"),
@@ -846,8 +846,8 @@ PINNED = {
         "281a1a8082c7b1daff3652f99df7417b100831efca274dde40c34de1848da53a",
         "8b97cb90857f56b481963a213aef0d50731ad586e99769d896d06ab8dd3f126b"),
     "zeta zeros --tmax 30 --out out": (
-        "3e574b1b181b3ef2c30415dca3a73dbbf95e39fcdb6cac807f58c8e22a0ebe85",
-        "87c72402a67586126888e46e1f0e4a58b25ee62ca31431a86789fcbab5c3e378"),
+        "8f9b02dcfbbdda2267bbed045766a80aa8354bbcedfa17d0095305905b501cbd",
+        "aa0edb54121fc61d89056ebb78e02b817f5063cbf37527b184c70e73f94593d4"),
 }
 
 

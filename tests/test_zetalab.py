@@ -39,15 +39,17 @@ from fraczeta.zetalab import (
     unfold,
     universality_scan,
     zeta,
-    _BISECT_CHUNK,
+    _FAST_CHUNK,
     _GRID_ROWS,
     _RS_COEFFS,
     _RS_MATRIX,
     _RS_SCAN_BLOCK,
     _RS_T_MIN,
+    _ZERO_TOL,
     _certified_z,
     _em_block,
     _grid_chunks,
+    _refine,
     _z_block,
     _z_fast,
     _z_rs,
@@ -80,10 +82,9 @@ THETA_5 = -3.4596203753634627
 Z_30 = 0.596028519239885
 
 
-# sha256 of the float64 bytes of find_zeros(1419.5).ordinates as produced by
-# the direct-scan, scalar-bisection reference route
+# sha256 of the float64 bytes of find_zeros(1419.5).ordinates
 ZEROS_1000_SHA256 = (
-    "68f8656aea5020f5da5d2232fa4fc12fb720c3a49b2c161f06c67cc1874fee66")
+    "edb07b0ac72ad234e24b1c01b8bb3d658db94664098bc27d82e1456a058220b8")
 
 
 def _load_oracle(name):
@@ -381,13 +382,69 @@ def test_zero_tol_is_the_bracket_width(zeros_1000):
         assert riemann_siegel_Z(t - tol) * riemann_siegel_Z(t + tol) < 0.0
 
 
+def _assert_brackets_agree(zl, reference):
+    """The refined ordinates against the scalar bisection's: the same count,
+    each within the bracket width, and a scalar sign change across each."""
+    got, ref = np.array(zl.ordinates), np.array(reference)
+    assert got.size == ref.size
+    assert np.all(np.abs(got - ref) <= zl.tol)
+    half = 0.5 * zl.tol
+    for c in got:
+        assert riemann_siegel_Z(c - half) * riemann_siegel_Z(c + half) < 0.0
+
+
 # 200.0 leaves _certified_z no scan point, 204.8 ends the grid chunks
 # that start below t = 200 at the last grid point, and 204.85 puts the
 # off-grid end right after them
 @pytest.mark.parametrize("t_max", [200.0, 100.03, 204.8, 204.85])
 def test_find_zeros_matches_scalar_bisection(t_max):
-    got = find_zeros(t_max).ordinates
-    assert np.array_equal(got, bisect_reference.find_zeros(t_max))
+    _assert_brackets_agree(find_zeros(t_max), bisect_reference.find_zeros(t_max))
+
+
+def test_find_zeros_matches_mpmath_zetazero(zeros_1000):
+    """An independent oracle: mpmath's zetazero(n), n = 1, 2, 3, 1000 and
+    20 seeded n <= 1000, lies within half the bracket width of the
+    ordinate."""
+    mpmath = pytest.importorskip("mpmath")
+    picks = np.random.default_rng(3001).choice(np.arange(4, 1000), 20,
+                                               replace=False)
+    for n in (1, 2, 3, *sorted(picks.tolist()), 1000):
+        ref = float(mpmath.zetazero(n).imag)
+        assert abs(zeros_1000.ordinates[n - 1] - ref) <= 0.5 * zeros_1000.tol
+
+
+# sign routes that regula falsi handles badly, each with the left ends of
+# the 0.05 cells it is refined on
+_SYNTHETIC_ROUTES = {
+    "triple root": (lambda t: (t - 10.0137) ** 3,
+                    (9.9662, 9.9774, 9.9887, 10.0, 10.0112)),
+    "steep step": (lambda t: np.tanh((t - 10.0213) / 1e-6) + 0.8,
+                   (9.9738, 9.985, 9.9963, 10.0076, 10.0188)),
+    "three sign changes": (lambda t: (t - 10.004) * (t - 10.021) * (t - 10.0455),
+                           (9.9999, 9.9961)),
+}
+
+
+@pytest.mark.parametrize("name", list(_SYNTHETIC_ROUTES))
+def test_refine_safeguard_on_synthetic_sign_routes(monkeypatch, name):
+    """Every bracket ends at most _ZERO_TOL wide around a sign change, and
+    within twice the 26 sweeps a bisection of a 0.05 cell takes."""
+    route, lefts = _SYNTHETIC_ROUTES[name]
+    sweeps = []
+
+    def fake(t, step=None):
+        assert np.all(np.diff(t) >= 0.0)
+        sweeps.append(t.size)
+        return route(t), np.ones_like(t), 0
+
+    monkeypatch.setattr("fraczeta.zetalab._certified_z", fake)
+    half = 0.5 * _ZERO_TOL
+    for left in lefts:
+        a, b = np.array([left]), np.array([left + 0.05])
+        sweeps.clear()
+        centre, _, _ = _refine(a, b, route(a), route(b))
+        assert len(sweeps) <= 52
+        assert route(centre - half) * route(centre + half) <= 0.0
 
 
 def test_zeros_1000_hash_pinned(zeros_1000):
@@ -397,19 +454,19 @@ def test_zeros_1000_hash_pinned(zeros_1000):
 
 def test_min_sign_margin_reported(zeros_1000):
     margin = zeros_1000.min_sign_margin
-    assert math.isfinite(margin) and margin > 0.0
+    assert math.isfinite(margin) and margin >= 0.5
     assert find_zeros(5.0).min_sign_margin == math.inf
 
 
 @pytest.fixture(scope="module")
 def fast_and_scalar():
     """400 seeded ordinates in [14, 1e4], through _z_fast in ascending
-    chunks of _BISECT_CHUNK as _bisect takes them, and through the scalar
+    chunks of _FAST_CHUNK as _certified_z takes them, and through the scalar
     route one at a time."""
     ts = np.sort(np.random.default_rng(1009).uniform(14.0, 1.0e4, 400))
     z_fast, b_fast, cap = (np.empty_like(ts) for _ in range(3))
-    for lo in range(0, ts.size, _BISECT_CHUNK):
-        sl = slice(lo, lo + _BISECT_CHUNK)
+    for lo in range(0, ts.size, _FAST_CHUNK):
+        sl = slice(lo, lo + _FAST_CHUNK)
         z_fast[sl], b_fast[sl] = _z_fast(ts[sl])
         cap[sl] = _z_scalar_bound_cap(ts[sl])
     scalar = np.array([_z_block(ts[i:i + 1]) for i in range(ts.size)])[:, :, 0]
@@ -427,8 +484,8 @@ def test_fast_route_matches_mpmath(fast_and_scalar):
     ts, z_fast, b_fast = fast_and_scalar[:3]
     # every 20th ordinate, plus each chunk's largest, where |s|/(2 pi N)
     # is closest to 1/2
-    ends = np.minimum(np.arange(_BISECT_CHUNK, ts.size + _BISECT_CHUNK,
-                                _BISECT_CHUNK), ts.size) - 1
+    ends = np.minimum(np.arange(_FAST_CHUNK, ts.size + _FAST_CHUNK,
+                                _FAST_CHUNK), ts.size) - 1
     with mpmath.workdps(20):
         for i in np.union1d(np.arange(0, ts.size, 20), ends):
             ref = float(mpmath.siegelz(mpmath.mpf(float(ts[i]))))
@@ -436,8 +493,8 @@ def test_fast_route_matches_mpmath(fast_and_scalar):
 
 
 def test_reference_decisions_counted(zeros_1000):
-    # the scalar route decides at most 2 % of the 26,000 midpoints
-    assert 0 < zeros_1000.reference_decisions <= 520
+    # the scalar route decides at most 0.5 % of the about 7,900 probes
+    assert 0 < zeros_1000.reference_decisions <= 40
     assert find_zeros(5.0).reference_decisions == 0
 
 
@@ -575,14 +632,23 @@ def test_reference_route_alone_matches_scalar_bisection(
     monkeypatch.setattr("fraczeta.zetalab._z_rs", fake_fast)
     monkeypatch.setattr("fraczeta.zetalab._z_fast", fake_fast)
     monkeypatch.setattr("fraczeta.zetalab._z_scalar", spy)
+    chain_calls = []
+
+    def chain_spy(t, step=None):
+        chain_calls.append(t.size)
+        return _certified_z(t, step)
+
+    monkeypatch.setattr("fraczeta.zetalab._certified_z", chain_spy)
     zl = find_zeros(300.0)
-    assert np.array_equal(zl.ordinates, zeros_300_reference)
+    _assert_brackets_agree(zl, zeros_300_reference)
     # the scalar route decides the 1,904 scan points past the 8 grid
-    # chunks that start below t = 200, and each of the 26 halvings that
-    # take every 0.05 bracket to 1e-9: one call for the scan, one a sweep
+    # chunks that start below t = 200, and every probe of the refinement:
+    # one call for the scan, one a sweep
     scan_points = 6000 - 8 * _GRID_ROWS
-    assert zl.reference_decisions == scan_points + 26 * len(zl.ordinates)
-    assert len(scalar_calls) == 27 and scalar_calls[0][0].size == scan_points
+    probes = chain_calls[1:]
+    assert chain_calls[0] == scalar_calls[0][0].size == scan_points
+    assert zl.reference_decisions == scan_points + sum(probes)
+    assert len(scalar_calls) == len(chain_calls) and len(probes) <= 52
     assert sum(t.size for t, _, _ in scalar_calls) == zl.reference_decisions
     # each decision is the one-point scalar route's, bit for bit
     for t, z, gate in scalar_calls:
@@ -642,7 +708,7 @@ def _tail_block(shape, exit_):
     if shape == "split chunk":
         # ordinates 10..200 at N = 30: the top stops shrinking at once while
         # the bottom converges, so the full-array test runs at every term
-        shifts = np.sort(rng.uniform(10.0, 200.0, _BISECT_CHUNK))
+        shifts = np.sort(rng.uniform(10.0, 200.0, _FAST_CHUNK))
         return np.array([0.5]), shifts, 1e-15, None, 30
     tol = 1e-300 if exit_ == "cap" else 1e-12
     cutoff = 20 if exit_ == "stopped shrinking" else None
@@ -656,7 +722,7 @@ def _tail_block(shape, exit_):
     base = np.array([rng.uniform(0.05, 2.0)])
     if shape == "point":
         return base, np.array([t0]), tol, None, cutoff
-    shifts = np.sort(t0 + rng.uniform(0.0, 20.0, _BISECT_CHUNK))  # as _z_fast
+    shifts = np.sort(t0 + rng.uniform(0.0, 20.0, _FAST_CHUNK))  # as _z_fast
     if exit_ == "converged":
         cutoff = max(20, math.ceil(shifts.max() / math.pi))
     return base, shifts, tol, None, cutoff
@@ -690,7 +756,7 @@ def test_em_block_real_base_keeps_per_entry_n_power_bits(shape, exit_):
     if shape == "wide":
         rng = np.random.default_rng(64)
         base, shifts = rng.uniform(0.05, 2.0, 64), np.sort(
-            rng.uniform(1.0, 40.0, _BISECT_CHUNK))
+            rng.uniform(1.0, 40.0, _FAST_CHUNK))
         tol, grid, cutoff = 1e-12, None, None
     else:
         base, shifts, tol, grid, cutoff = _tail_block(shape, exit_)
