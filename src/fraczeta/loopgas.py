@@ -13,7 +13,6 @@ Natural units hbar = m = k_B = 1 by default, all overridable.
 """
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -214,6 +213,13 @@ def _check_sites(n: int, *sites):
             raise ValueError(f"site index {s} outside [0, {n})")
 
 
+def _check_steps(n_steps):
+    if not isinstance(n_steps, (int, np.integer)) or isinstance(n_steps, bool):
+        raise TypeError(f"n_steps must be an integer, got {n_steps!r}")
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+
+
 def _evolve(matrix: np.ndarray, v: np.ndarray, n_steps: int):
     """Yield matrix^k @ v for k = 1..n_steps, one matvec each."""
     for _ in range(n_steps):
@@ -225,8 +231,7 @@ def propagator_slices(kernel: TransferKernel, x0: int, n_steps: int):
     """Density rows q(x0 -> ., k*eps) = T^k e_x0 / delta for k = 1..n_steps,
     one matvec each, as a generator; the arguments are checked at the call."""
     _check_sites(len(kernel.matrix), x0)
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    _check_steps(n_steps)
     e_x0 = np.zeros(len(kernel.matrix))
     e_x0[x0] = 1.0
     return (v / kernel.delta for v in _evolve(kernel.matrix, e_x0, n_steps))
@@ -240,7 +245,7 @@ def propagator(kernel: TransferKernel, x0: int, x1: int, n_steps: int) -> float:
     or 1.0 after x0 = 1) still raises."""
     _check_sites(len(kernel.matrix), x1)
     rows = propagator_slices(kernel, x0, n_steps)
-    key = (int(x0), operator.index(n_steps))
+    key = (int(x0), int(n_steps))
     if kernel.kept_row is None or kernel.kept_row[0] != key:
         for q in rows:
             pass
@@ -251,11 +256,12 @@ def propagator(kernel: TransferKernel, x0: int, x1: int, n_steps: int) -> float:
 def loop_partition(kernel: TransferKernel, n_steps: int) -> float:
     """Lattice loop integral over closed paths: Tr(T^n), from the kernel's
     cached spectrum of the symmetric operator."""
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    z = float(np.sum(kernel.spectrum ** n_steps))
-    if not (z > 0.0):
-        raise ArithmeticError(f"loop partition {z} is not positive")
+    _check_steps(n_steps)
+    with np.errstate(over="ignore"):  # inf is refused below
+        z = float(np.sum(kernel.spectrum ** n_steps))
+    if not (0.0 < z < math.inf):
+        raise ArithmeticError(f"loop partition Tr T^{n_steps} = {z} is not "
+                              "positive and finite")
     return z
 
 
@@ -266,8 +272,7 @@ def path_entropy(kernel: TransferKernel, n_steps: int) -> float:
 
 def path_entropies(kernel: TransferKernel, n_steps: int) -> np.ndarray:
     """path_entropy(kernel, n) for n = 1..n_steps, from one eigensolve."""
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    _check_steps(n_steps)
     return np.array([path_entropy(kernel, n) for n in range(1, n_steps + 1)])
 
 
@@ -302,8 +307,7 @@ def forward_backward(kernel: TransferKernel, phi0, phi1, n_steps: int):
     delta * sum(rho_k) is the same inner product <T^k phi0, T^{n-k} phi1>
     at every k, so the density is conserved up to rounding.
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    _check_steps(n_steps)
     f0 = np.asarray(phi0, dtype=float)
     f1 = np.asarray(phi1, dtype=float)
     n = kernel.matrix.shape[0]
@@ -430,8 +434,7 @@ def sample_paths(lattice: LoopLattice, n_paths: int, n_steps: int, seed: int,
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    _check_steps(n_steps)
     if mode not in ("open", "loop"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "open" and end_site is not None:

@@ -49,7 +49,6 @@ _GRID_CELLS = 2 ** 21  # complex entries of the grid factor, 32 MB
 _FAST_CHUNK = 128     # points per _z_fast call; each chunk gets its own N
 _RS_SCAN_BLOCK = 4096  # points per _z_rs call; 1.3 MB arrays at t = 1e4
 _Z_TOL = 1e-12        # Bernoulli-tail tolerance of every Z evaluation
-_SCALAR_CELLS = 2 ** 16  # phase entries per part of a _z_scalar call, 1 MB
 
 
 def _bernoulli(count):
@@ -99,18 +98,19 @@ class ZetaPoint:
 class ZeroList:
     """Ordinates t with zeta(1/2+it) = 0, localized to bracket width tol.
 
-    min_sign_margin is the smallest |Z|/gate over the sign decisions that
-    placed the zeros, where the gate is the deciding route's bound, plus
-    the scalar-bound majorant where a fast route decided (see
-    _certified_z); below 1, one was not certified.  reference_decisions
-    counts the signs the scalar route decided, scan points included.
+    Each sign that placed the zeros is certified by the route that decided
+    it, or counted: min_sign_margin is the smallest |Z|/gate over those
+    decisions, where the gate is the deciding route's own bound (see
+    _certified_z), so below 1 some sign was not certified, and
+    uncertified_decisions counts the signs that _certified_z could not
+    certify, scan points included.
     """
 
     ordinates: tuple
     tol: float
     t_max: float
     min_sign_margin: float = math.inf
-    reference_decisions: int = 0
+    uncertified_decisions: int = 0
 
     def __post_init__(self):
         ts = self.ordinates
@@ -390,55 +390,6 @@ def _z_block(t_block: np.ndarray, grid: tuple | None = None,
     return (np.exp(1j * _rs_theta(t_block)) * vals[:, 0]).real, err[:, 0]
 
 
-@_blas.one_thread
-def _z_scalar(t: np.ndarray):
-    """(z, bound) at each t_i as _z_block(np.array([t_i])) gives them, bit
-    for bit, in one call.  All elementwise work runs over every point at
-    once, each point's Bernoulli tail stopping where its own full-array
-    stop test would (the _M_CAP exit included).  Three reductions take
-    their bits from their length, so each point makes its own call of them:
-    the (1 x N-1) @ (N-1 x 1) main sum, mags.sum and log_n @ mags; log N is
-    math.log's, as np.log can differ from it.  The phases are built for
-    the points in parts of about _SCALAR_CELLS entries.
-    """
-    n_used = np.maximum(20, np.ceil(t)).astype(int)          # as _cutoff
-    log_n, p, mags = _dirichlet_table(np.array([0.5]), n_used.max(initial=20))
-    main, mag_sum, log_sum = (np.empty(t.size, dtype=d)
-                              for d in (complex, float, float))
-    width = n_used - 1
-    cuts = np.flatnonzero(np.diff(np.cumsum(width) // _SCALAR_CELLS)) + 1
-    for part in np.split(np.arange(t.size), cuts):
-        starts = np.cumsum(width[part]) - width[part]
-        cols = np.arange(width[part].sum()) - np.repeat(starts, width[part])
-        phase = np.exp(-1j * (np.repeat(t[part], width[part]) * log_n[cols]))
-        for i, at in zip(part, starts):
-            m = width[i]
-            main[i] = (phase[at:at + m][None, :] @ p[:m])[0, 0]
-            mag_sum[i] = mags[:m].sum(axis=0)[0]
-            log_sum[i] = (log_n[:m] @ mags[:m])[0]
-    big_n = n_used.astype(float)
-    log_big_n = np.array([math.log(v) for v in big_n])
-    s = 0.5 + 1j * t
-    ninvs = np.exp(-(0.5 + 0j) * log_big_n) * np.exp(-1j * log_big_n * t)
-    corr = ninvs * (big_n / (s - 1.0) + 0.5)
-    bound = np.empty(t.size)
-    live, s_k, prev = np.arange(t.size), s, np.full(t.size, np.inf)
-    rising, npow, inv_n2 = s, ninvs / big_n, 1.0 / (big_n * big_n)
-    for k in range(1, _M_CAP + 1):
-        term = _B2F[k] * rising * npow
-        mag = np.abs(term)
-        bound[live] = np.abs(s_k + (2 * k - 1)) / (s_k.real + (2 * k - 1)) * mag
-        go = ~((bound[live] <= _Z_TOL) | (mag >= prev))
-        corr[live[go]] += term[go]
-        if k == _M_CAP or not go.any():
-            break
-        live, s_k, prev = live[go], s_k[go], mag[go]
-        rising = rising[go] * ((s_k + (2 * k - 1)) * (s_k + 2 * k))
-        npow = npow[go] * inv_n2[live]
-    noise = _EPS * (mag_sum + np.abs(t) * log_sum + np.abs(corr))
-    return (np.exp(1j * _rs_theta(t)) * (main + corr)).real, bound + 2.0 * noise
-
-
 def _z_fast(t_block: np.ndarray):
     """_z_block at N = max(20, ceil(max t / pi)), a third of the default;
     |s|/(2 pi N) <= 1/2 still takes the tail to _Z_TOL in few terms."""
@@ -455,15 +406,6 @@ def _prefix_sums():
     for s in sums:
         s.flags.writeable = False
     return sums
-
-
-def _z_scalar_bound_cap(t: np.ndarray) -> np.ndarray:
-    """A majorant of the bound _z_block(np.array([t_i])) reports at each t_i:
-    _Z_TOL plus twice the noise floor over n < N = max(20, ceil t_i), with
-    1 standing in for |corr| (below 1/2 on the critical line for t >= 14)."""
-    n_t = np.maximum(20, np.ceil(t)).astype(int)
-    s0, s1 = (s[n_t - 2] for s in _prefix_sums())
-    return _Z_TOL + 2.0 * _EPS * (s0 + t * s1 + 1.0)
 
 
 # Taylor coefficients of the Riemann-Siegel corrections C_0..C_4 in
@@ -527,10 +469,10 @@ def _z_rs(t_block: np.ndarray, step: float | None = None):
     a rounding floor to that.  The phase theta^ - t log n is off by at most
     dtheta + eps (|theta^| + 2 t log n), where dtheta = 4 eps (|theta^| + t)
     plus the first omitted term of _rs_theta's series bounds theta^'s own
-    error; dtheta is counted twice, since the scalar route rotates by
-    theta^ and so takes Z cos(dtheta) for Z.  Each term adds 3 eps for its
-    cosine, weight and product, and the sum N eps of its total; the floor
-    takes these sums over n from _prefix_sums.  C_0..C_4 are one matrix
+    error; the floor counts dtheta twice, and the second is slack, kept so
+    that no bound moves, which a tighter phase bound may reclaim.  Each
+    term adds 3 eps for its cosine, weight and product, and the sum N eps
+    of its total; the floor takes these sums over n from _prefix_sums.  C_0..C_4 are one matrix
     product, _RS_MATRIX times the powers x^{2m} of x = p - 1/2 (each built
     by one more multiplication), on one BLAS thread.  They add (2pi/t)^{1/4}
     eps (32 + 16 a): a term c_km x^{2m+k%2} is off by at most (m + 12) eps
@@ -626,24 +568,23 @@ def mean_zero_count(t: float) -> float:
 
 
 def _certified_z(t: np.ndarray, step: float | None = None):
-    """Z on an ascending array of positive ordinates, each sign equal to the
-    scalar route's (riemann_siegel_Z); returns (z, gate, n_scalar).
+    """Z on an ascending array of positive ordinates, each sign certified
+    by the route that decided it, or counted; returns (z, gate, n_open).
 
-    Two fast routes are tried in turn, each on the points the one before
-    left open: _z_rs in blocks of _RS_SCAN_BLOCK (from its phase tables
-    where step says t is the scan grid), then _z_fast in chunks of
-    _FAST_CHUNK.  No block holds points from both sides of _RS_T_MIN:
-    a _z_fast chunk's cutoff follows its largest t, and the points below,
-    all left open by _z_rs, would pay the cutoff of the few Riemann-Siegel
-    misses above.  A value stands only where |z| > gate = its bound +
-    _z_scalar_bound_cap(t): both bounds cover Z as the scalar route
-    rotates it, so its sign is the scalar route's.  The scalar route
-    decides the other n_scalar points, by one _z_scalar call; gate is its
-    bound.  The zero scan reads only the signs; _refine also reads the
-    values, each within its gate of Z, to place its next probes.
+    Two routes are tried in turn, each on the points the one before left
+    open: _z_rs in blocks of _RS_SCAN_BLOCK (from its phase tables where
+    step says t is the scan grid), then _z_fast in chunks of _FAST_CHUNK.
+    No block holds points from both sides of _RS_T_MIN: a _z_fast chunk's
+    cutoff follows its largest t, and the points below, all left open by
+    _z_rs, would pay the cutoff of the few Riemann-Siegel misses above.
+    gate is the bound of the value kept, and a point stays open while
+    |z| <= gate.  A route's value replaces the one before wherever its
+    bound is no larger (gate starts at inf, so every point gets a value),
+    so a point that no route certifies keeps the value of smallest bound;
+    n_open counts those.  The zero scan reads only the signs; _refine also
+    reads the values, each within its gate of Z, to place its next probes.
     """
-    z, gate = np.empty_like(t), np.empty_like(t)
-    cap = _z_scalar_bound_cap(t)
+    z, gate = np.empty_like(t), np.full_like(t, np.inf)
     open_ = np.arange(t.size)
     rs = functools.partial(_z_rs, step=step)
     for route, size in ((rs, _RS_SCAN_BLOCK), (_z_fast, _FAST_CHUNK)):
@@ -651,17 +592,16 @@ def _certified_z(t: np.ndarray, step: float | None = None):
         for run in (open_[:cut], open_[cut:]):
             for lo in range(0, run.size, size):
                 i = run[lo:lo + size]
-                z[i], bound = route(t[i])
-                gate[i] = bound + cap[i]
+                z_i, bound = route(t[i])
+                keep = bound <= gate[i]
+                z[i[keep]], gate[i[keep]] = z_i[keep], bound[keep]
         open_ = open_[np.abs(z[open_]) <= gate[open_]]
-    if open_.size:
-        z[open_], gate[open_] = _z_scalar(t[open_])
     return z, gate, open_.size
 
 
 def _z_scan(t_max: float, grid: float):
     """Z on t = grid, 2*grid, ... up to t_max, with t_max appended when it
-    is off the grid; returns (ts, z, gate, n_scalar).
+    is off the grid; returns (ts, z, gate, n_open).
 
     The grid is cut into chunks of _GRID_ROWS points.  Those that start
     below _RS_T_MIN go through the factored grid route, whose factor has
@@ -677,8 +617,8 @@ def _z_scan(t_max: float, grid: float):
     first = min(k, _GRID_ROWS * int(np.sum(ts[:k:_GRID_ROWS] < _RS_T_MIN)))
     for sl, chunk in _grid_chunks(np.array([0.5]), ts[:first], grid):
         z[sl], gate[sl] = _z_block(ts[sl], chunk)
-    z[first:], gate[first:], n_scalar = _certified_z(ts[first:], grid)
-    return ts, z, gate, n_scalar
+    z[first:], gate[first:], n_open = _certified_z(ts[first:], grid)
+    return ts, z, gate, n_open
 
 
 def _refine(a: np.ndarray, b: np.ndarray, za: np.ndarray, zb: np.ndarray):
@@ -693,15 +633,15 @@ def _refine(a: np.ndarray, b: np.ndarray, za: np.ndarray, zb: np.ndarray):
     rounding.  A probe outside (a, b) is dropped.  A
     bracket that its last sweep did not at least halve is probed once, at
     its midpoint, so no bracket takes more than twice the sweeps of a
-    bisection.  All probes go to one ascending _certified_z call, so every
-    sign equals the scalar route's.  The bracket becomes the narrowest of
-    its parts whose ends differ in sign; an exact zero closes it.  Returns
-    the centres, the smallest |Z|/gate over the probes and the number of
-    scalar decisions.
+    bisection.  All probes go to one ascending _certified_z call, so each
+    sign is certified by the route that decided it, or counted.  The
+    bracket becomes the narrowest of its parts whose ends differ in sign;
+    an exact zero closes it.  Returns the centres, the smallest |Z|/gate
+    over the probes and the number of uncertified probes.
     """
     pos, val = np.stack([a, b], axis=1), np.stack([za, zb], axis=1)
     halve = np.zeros(a.size, dtype=bool)
-    margin, n_ref = math.inf, 0
+    margin, n_open = math.inf, 0
     live = np.nonzero(b - a > _ZERO_TOL)[0]
     while live.size:
         p, z, mid = pos[live], val[live], halve[live]
@@ -713,8 +653,8 @@ def _refine(a: np.ndarray, b: np.ndarray, za: np.ndarray, zb: np.ndarray):
         use = (q > p[:, :1]) & (q < p[:, 1:])
         use[mid, 1] = False
         zq = np.empty_like(q)
-        zq[use], gate, n_scalar = _certified_z(q[use])
-        n_ref += n_scalar
+        zq[use], gate, n = _certified_z(q[use])
+        n_open += n
         margin = min(margin, float(np.min(np.abs(zq[use]) / gate)))
         # a dropped probe stands in for the end beside it
         ts = np.hstack([p[:, :1], np.where(use, q, p), p[:, 1:]])
@@ -728,7 +668,7 @@ def _refine(a: np.ndarray, b: np.ndarray, za: np.ndarray, zb: np.ndarray):
         pos[live[hit[0]]] = q[hit][:, None]
         halve[live] = ~mid & (pos[live, 1] - pos[live, 0] > 0.5 * w)
         live = live[pos[live, 1] - pos[live, 0] > _ZERO_TOL]
-    return 0.5 * (pos[:, 0] + pos[:, 1]), margin, n_ref
+    return 0.5 * (pos[:, 0] + pos[:, 1]), margin, n_open
 
 
 def find_zeros(t_max: float, grid: float = 0.05) -> ZeroList:
@@ -740,11 +680,12 @@ def find_zeros(t_max: float, grid: float = 0.05) -> ZeroList:
     factored grid sum (_grid_chunks).  Every later scan point, and every
     refinement probe, goes through one chain, _certified_z:
     Riemann-Siegel (on the scan, from the grid's phase tables), then a
-    t/pi-cutoff Euler-Maclaurin sum, each kept only where it certifies the
-    sign, then the scalar route, batched per call.  The refinement
-    (_refine) probes all brackets together, by regula falsi with a
-    midpoint safeguard, and every sign it reads is the scalar route's, so
-    each final bracket holds a sign change of riemann_siegel_Z.
+    t/pi-cutoff Euler-Maclaurin sum on the points it left open.  Each sign
+    is certified by the route that decided it, so a final bracket whose
+    signs are all certified holds a sign change of Z; a sign that neither
+    route certifies is taken from the value of smaller bound and counted
+    in ZeroList.uncertified_decisions.  The refinement (_refine) probes
+    all brackets together, by regula falsi with a midpoint safeguard.
     ZeroList.min_sign_margin is the smallest |Z|/gate over the scan
     values at each sign change and over every probe.  It is reported,
     never raised on: a margin below 1 means a probe went past what the
@@ -760,8 +701,8 @@ def find_zeros(t_max: float, grid: float = 0.05) -> ZeroList:
     ts, z, gate, n_scan = _z_scan(t_max, grid)
     flips = np.nonzero(np.sign(z[:-1]) * np.sign(z[1:]) < 0)[0]
     exact_hits = np.nonzero(z == 0.0)[0]
-    centres, margin, n_ref = _refine(ts[flips], ts[flips + 1], z[flips],
-                                     z[flips + 1])
+    centres, margin, n_probe = _refine(ts[flips], ts[flips + 1], z[flips],
+                                       z[flips + 1])
     decided = np.concatenate([flips, flips + 1, exact_hits])
     if decided.size:
         margin = min(margin, float(np.min(np.abs(z[decided]) / gate[decided])))
@@ -773,7 +714,7 @@ def find_zeros(t_max: float, grid: float = 0.05) -> ZeroList:
             f"gives {expected:.2f}; rerun with a finer grid than {grid}")
     return ZeroList(ordinates=tuple(ordinates), tol=_ZERO_TOL,
                     t_max=float(t_max), min_sign_margin=margin,
-                    reference_decisions=n_scan + n_ref)
+                    uncertified_decisions=n_scan + n_probe)
 
 
 def unfold(zeros: ZeroList) -> np.ndarray:

@@ -8,13 +8,12 @@ below t = 200, and refines all brackets together by regula-falsi probes
 with a midpoint safeguard.  Every later scan point and every probe goes
 through one chain of routes: the Riemann-Siegel formula, then an
 Euler-Maclaurin sum over ascending chunks of points at about a third of
-this file's cutoff.  A sign from either is kept only when |Z| clears
-that route's bound plus a majorant of the scalar Euler-Maclaurin bound;
-every other point is decided by this file's scalar evaluation,
-riemann_siegel_Z.  So every sign either route reads is the scalar one,
-but the two probe different points: tests/test_zetalab.py requires the
-same zero count, ordinates within the bracket width 1e-9 of this
-file's, and a scalar sign change across each library ordinate.
+this file's cutoff.  Each sign there is certified by the route that
+decided it, where |Z| clears that route's own bound, or counted as
+uncertified; this file takes every sign from riemann_siegel_Z.  The two
+also probe different points: tests/test_zetalab.py requires the same
+zero count, ordinates within the bracket width 1e-9 of this file's, and
+a scalar sign change across each library ordinate.
 Imported by the tests; it has no script entry.
 """
 

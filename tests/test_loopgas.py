@@ -353,6 +353,40 @@ def test_path_entropies_match_single_steps(fine_harmonic):
         path_entropies(k, 0)
 
 
+_STEP_CALLS = {
+    "loop_partition_float": lambda lat, k: loop_partition(k, 2.5),
+    "loop_partition_inf": lambda lat, k: loop_partition(k, math.inf),
+    "loop_partition_nan": lambda lat, k: loop_partition(k, math.nan),
+    "loop_partition_bool": lambda lat, k: loop_partition(k, True),
+    "path_entropy_float": lambda lat, k: path_entropy(k, 3.0),
+    "path_entropies_bool": lambda lat, k: path_entropies(k, True),
+    "propagator_bool": lambda lat, k: propagator(k, 3, 4, True),
+    "propagator_slices_float": lambda lat, k: propagator_slices(k, 3, 2.0),
+    "forward_backward_bool": lambda lat, k: forward_backward(
+        k, np.ones(lat.n_sites), np.ones(lat.n_sites), True),
+    "sample_paths_float": lambda lat, k: sample_paths(lat, 4, 5.0, 0),
+    "sample_paths_numpy_float": lambda lat, k: sample_paths(
+        lat, 4, np.float64(5.0), 0, "open"),
+}
+
+
+@pytest.mark.parametrize("name", list(_STEP_CALLS))
+def test_n_steps_must_be_an_integer(fine_free, name):
+    with pytest.raises(TypeError, match="^n_steps must be an integer, got "):
+        _STEP_CALLS[name](*fine_free)
+
+
+def test_loop_partition_refuses_an_infinite_trace():
+    # an under-resolved lattice (S = 0.25) whose top eigenvalue is 1.0144
+    k = build_kernel(make_lattice(-4.0, 4.0, 41, 0.01))
+    assert k.spectrum.max() > 1.0
+    assert math.isfinite(loop_partition(k, 1000))
+    with pytest.raises(ArithmeticError,
+                       match=r"^loop partition Tr T\^1000000 = inf is not"):
+        loop_partition(k, 10 ** 6)
+    assert loop_partition(k, np.int64(7)) == loop_partition(k, 7)
+
+
 def test_loop_traces_share_one_eigensolve(monkeypatch):
     lat = make_lattice(-8.0, 8.0, 161, 0.01, potential=lambda x: x * x / 2)
     ns = (50, 100, 200)

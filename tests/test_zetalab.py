@@ -53,8 +53,6 @@ from fraczeta.zetalab import (
     _z_block,
     _z_fast,
     _z_rs,
-    _z_scalar,
-    _z_scalar_bound_cap,
     _z_scan,
 )
 
@@ -84,7 +82,7 @@ Z_30 = 0.596028519239885
 
 # sha256 of the float64 bytes of find_zeros(1419.5).ordinates
 ZEROS_1000_SHA256 = (
-    "edb07b0ac72ad234e24b1c01b8bb3d658db94664098bc27d82e1456a058220b8")
+    "652c716c6dc7f26f8f512b5ced23bc8f72a20bbe25906a7a2fdc8e6d2f2338ad")
 
 
 def _load_oracle(name):
@@ -464,19 +462,17 @@ def fast_and_scalar():
     chunks of _FAST_CHUNK as _certified_z takes them, and through the scalar
     route one at a time."""
     ts = np.sort(np.random.default_rng(1009).uniform(14.0, 1.0e4, 400))
-    z_fast, b_fast, cap = (np.empty_like(ts) for _ in range(3))
+    z_fast, b_fast = np.empty_like(ts), np.empty_like(ts)
     for lo in range(0, ts.size, _FAST_CHUNK):
         sl = slice(lo, lo + _FAST_CHUNK)
         z_fast[sl], b_fast[sl] = _z_fast(ts[sl])
-        cap[sl] = _z_scalar_bound_cap(ts[sl])
     scalar = np.array([_z_block(ts[i:i + 1]) for i in range(ts.size)])[:, :, 0]
-    return ts, z_fast, b_fast, cap, scalar[:, 0], scalar[:, 1]
+    return ts, z_fast, b_fast, scalar[:, 0], scalar[:, 1]
 
 
 def test_fast_sign_gate_is_sound(fast_and_scalar):
-    _, z_fast, b_fast, cap, z_ref, b_ref = fast_and_scalar
+    _, z_fast, b_fast, z_ref, b_ref = fast_and_scalar
     assert np.all(np.abs(z_fast - z_ref) <= b_fast + b_ref)
-    assert np.all(b_ref <= cap)
 
 
 def test_fast_route_matches_mpmath(fast_and_scalar):
@@ -492,10 +488,47 @@ def test_fast_route_matches_mpmath(fast_and_scalar):
             assert abs(z_fast[i] - ref) <= b_fast[i]
 
 
-def test_reference_decisions_counted(zeros_1000):
-    # the scalar route decides at most 0.5 % of the about 7,900 probes
-    assert 0 < zeros_1000.reference_decisions <= 40
-    assert find_zeros(5.0).reference_decisions == 0
+def test_uncertified_decisions_counted(zeros_1000):
+    # every sign of the about 7,900 probes at T = 1419.5 is certified by
+    # the route that decided it
+    assert zeros_1000.uncertified_decisions == 0
+    assert find_zeros(5.0).uncertified_decisions == 0
+
+
+def _chain_spy(monkeypatch):
+    """Replace _certified_z by a wrapper that records each call's (t, z,
+    gate, n_open)."""
+    calls = []
+
+    def spy(t, step=None):
+        out = _certified_z(t, step)
+        calls.append((t.copy(), *out))
+        return out
+
+    monkeypatch.setattr("fraczeta.zetalab._certified_z", spy)
+    return calls
+
+
+@pytest.mark.parametrize("t_max, n_zeros, n_probes", [
+    (1419.5, 1000, 60), (9878.8, 10001, 20)])
+def test_certified_signs_match_mpmath(monkeypatch, t_max, n_zeros, n_probes):
+    """The chain's certified signs closest to their gate, where |z|/gate
+    is smallest above 1, are the signs of mpmath's Z; every sign left at
+    or below its gate is counted."""
+    mpmath = pytest.importorskip("mpmath")
+    calls = _chain_spy(monkeypatch)
+    zl = find_zeros(t_max)
+    assert len(zl.ordinates) == n_zeros
+    t, z, gate = (np.concatenate(c) for c in list(zip(*calls))[:3])
+    ratio = np.abs(z) / gate
+    assert zl.uncertified_decisions == np.count_nonzero(ratio <= 1.0)
+    near = np.flatnonzero(ratio > 1.0)
+    near = near[np.argsort(ratio[near], kind="stable")[:n_probes]]
+    assert near.size == n_probes
+    with mpmath.workdps(20):
+        for i in near:
+            ref = mpmath.siegelz(mpmath.mpf(float(t[i])))
+            assert np.sign(z[i]) == float(mpmath.sign(ref))
 
 
 @pytest.fixture(scope="module")
@@ -506,19 +539,19 @@ def rs_and_scalar():
     ts = siegelz_reference.ordinates()
     z_rs, b_rs = _z_rs(ts)
     scalar = np.array([_z_block(ts[i:i + 1]) for i in range(ts.size)])[:, :, 0]
-    return ts, z_rs, b_rs, scalar[:, 0]
+    return ts, z_rs, b_rs, scalar[:, 0], scalar[:, 1]
 
 
 def test_rs_sign_gate_is_sound(rs_and_scalar):
-    ts, z_rs, b_rs, z_ref = rs_and_scalar
-    assert np.all(np.abs(z_rs - z_ref) <= b_rs + _z_scalar_bound_cap(ts))
+    _, z_rs, b_rs, z_ref, b_ref = rs_and_scalar
+    assert np.all(np.abs(z_rs - z_ref) <= b_rs + b_ref)
 
 
 def test_rs_bound_covers_mpmath(rs_and_scalar):
     # mpmath.siegelz at 25 digits, frozen by tests/oracles/siegelz_reference.py;
     # eight seeded entries are recomputed live against the table
     pytest.importorskip("mpmath")
-    ts, z_rs, b_rs, _ = rs_and_scalar
+    ts, z_rs, b_rs = rs_and_scalar[:3]
     table_t, ref = np.loadtxt(
         Path(__file__).parent / "oracles" / "siegelz_table.txt", unpack=True)
     assert np.array_equal(table_t, ts)
@@ -545,7 +578,7 @@ def _grid_route_at(ts, step=0.05, rows=64):
 def test_rs_grid_route_covers_mpmath_and_the_direct_route(rs_and_scalar,
                                                           scan_600):
     pytest.importorskip("mpmath")
-    ts, z_rs, b_rs, _ = rs_and_scalar
+    ts, z_rs, b_rs = rs_and_scalar[:3]
     _, ref = np.loadtxt(
         Path(__file__).parent / "oracles" / "siegelz_table.txt", unpack=True)
     z_grid, b_grid = _grid_route_at(ts)
@@ -602,78 +635,29 @@ def _blind_fast(t_block, step=None):
     return z, np.full_like(bound, np.inf)
 
 
-def _lying_fast(t_block, step=None):
-    # the scalar value's opposite sign, with the smallest bound that still
-    # covers it (|z' - z| <= bound' + bound); a gate on bound' alone would
-    # take the wrong sign wherever |z| < bound, as at t = 176.4
-    z, bound = np.array([_z_block(t_block[i:i + 1])
-                         for i in range(t_block.size)])[:, :, 0].T
-    return -z, np.maximum(0.0, 2.0 * np.abs(z) - bound)
-
-
 @pytest.fixture(scope="module")
 def zeros_300_reference():
     return bisect_reference.find_zeros(300.0)
 
 
-@pytest.mark.parametrize("fake_fast", [_blind_fast, _lying_fast])
+@pytest.mark.parametrize("fake_fast", [_blind_fast])
 def test_reference_route_alone_matches_scalar_bisection(
         monkeypatch, zeros_300_reference, fake_fast):
-    scalar_calls = []
-
-    def spy(t):
-        z, gate = _z_scalar(t)
-        scalar_calls.append((t.copy(), z, gate))
-        return z, gate
-
-    # both fast routes, Riemann-Siegel (from t = 200, from the scan's phase
-    # tables or direct) and the chunked Euler-Maclaurin sum, are replaced
-    # by the fake, so the batched scalar route decides every sign
+    # both routes, Riemann-Siegel (from t = 200, from the scan's phase
+    # tables or direct) and the chunked Euler-Maclaurin sum, return the
+    # scalar route's values with an infinite bound, so no sign past the
+    # 8 grid chunks that start below t = 200 is certified: each is kept
+    # (a bound of inf ties the starting gate) and counted
     monkeypatch.setattr("fraczeta.zetalab._z_rs", fake_fast)
     monkeypatch.setattr("fraczeta.zetalab._z_fast", fake_fast)
-    monkeypatch.setattr("fraczeta.zetalab._z_scalar", spy)
-    chain_calls = []
-
-    def chain_spy(t, step=None):
-        chain_calls.append(t.size)
-        return _certified_z(t, step)
-
-    monkeypatch.setattr("fraczeta.zetalab._certified_z", chain_spy)
+    calls = _chain_spy(monkeypatch)
     zl = find_zeros(300.0)
     _assert_brackets_agree(zl, zeros_300_reference)
-    # the scalar route decides the 1,904 scan points past the 8 grid
-    # chunks that start below t = 200, and every probe of the refinement:
-    # one call for the scan, one a sweep
+    # the 1,904 scan points, then every probe of the refinement
     scan_points = 6000 - 8 * _GRID_ROWS
-    probes = chain_calls[1:]
-    assert chain_calls[0] == scalar_calls[0][0].size == scan_points
-    assert zl.reference_decisions == scan_points + sum(probes)
-    assert len(scalar_calls) == len(chain_calls) and len(probes) <= 52
-    assert sum(t.size for t, _, _ in scalar_calls) == zl.reference_decisions
-    # each decision is the one-point scalar route's, bit for bit
-    for t, z, gate in scalar_calls:
-        one = np.array([_z_block(t[i:i + 1]) for i in range(t.size)])[:, :, 0]
-        assert z.tobytes() == one[:, 0].tobytes()
-        assert gate.tobytes() == one[:, 1].tobytes()
-    assert math.isfinite(zl.min_sign_margin)
-
-
-def test_scalar_batch_equals_one_point_route_bit_for_bit():
-    # 2,404 seeded t in [14, 1e4], unsorted, with 200 integers and the next
-    # float above each, where ceil(t) and so the cutoff N steps, and two t
-    # at N = 9170, the one N in [20, 1e4] where np.log is not math.log
-    rng = np.random.default_rng(2611)
-    whole = np.floor(rng.uniform(14.0, 1.0e4, 200))
-    ts = np.concatenate([rng.uniform(14.0, 1.0e4, 1000),
-                         np.exp(rng.uniform(math.log(14.0), math.log(1.0e4),
-                                            1000)),
-                         whole, np.nextafter(whole, np.inf),
-                         [14.0, 9169.5, 9170.0, 1.0e4]])
-    rng.shuffle(ts)
-    z, bound = _z_scalar(ts)
-    one = np.array([_z_block(ts[i:i + 1]) for i in range(ts.size)])[:, :, 0]
-    assert z.tobytes() == one[:, 0].tobytes()
-    assert bound.tobytes() == one[:, 1].tobytes()
+    assert calls[0][0].size == scan_points and len(calls) - 1 <= 52
+    assert zl.uncertified_decisions == sum(c[0].size for c in calls)
+    assert zl.min_sign_margin == 0.0
 
 
 def _assert_each_within_the_others_err(a, err_a, b, err_b):
@@ -813,8 +797,8 @@ def test_grid_route_scan_off_grid_t_max():
 def scan_600():
     """_z_scan(600), the grid route's values on the same grid, and the
     direct route's in bisect_reference's blocks of 4096."""
-    ts, z, gate, n_scalar = _z_scan(600.0, 0.05)      # 600 is on the grid
-    assert n_scalar == 0
+    ts, z, gate, n_open = _z_scan(600.0, 0.05)        # 600 is on the grid
+    assert n_open == 0
     grid = np.empty((2, ts.size))
     for sl, phases in _grid_chunks(np.array([0.5]), ts, 0.05):
         grid[:, sl] = _z_block(ts[sl], phases)
@@ -830,7 +814,7 @@ def test_scan_signs_match_direct_route(scan_600):
 def test_scan_rs_points_clear_their_gate(scan_600):
     # from the first chunk that starts at t >= 200, every point is the
     # Riemann-Siegel value from the grid's phase tables, which clears its
-    # bound plus the scalar majorant
+    # own bound
     ts, z, gate, grid, _, _ = scan_600
     lo = _GRID_ROWS * math.ceil(np.searchsorted(ts, _RS_T_MIN) / _GRID_ROWS)
     assert ts[lo - _GRID_ROWS] < _RS_T_MIN <= ts[lo]
@@ -838,7 +822,7 @@ def test_scan_rs_points_clear_their_gate(scan_600):
         sl = slice(blk, blk + _RS_SCAN_BLOCK)
         z_rs, b_rs = _z_rs(ts[sl], 0.05)
         assert np.array_equal(z[sl], z_rs)
-        assert np.array_equal(gate[sl], b_rs + _z_scalar_bound_cap(ts[sl]))
+        assert np.array_equal(gate[sl], b_rs)
         assert np.all(np.abs(z[sl]) > gate[sl])
     assert np.array_equal(z[:lo], grid[0, :lo])
     assert np.array_equal(gate[:lo], grid[1, :lo])
@@ -856,10 +840,10 @@ def test_scan_point_failing_the_rs_gate_takes_the_fast_route(
         return z_rs, np.where(t_block == ts[weak], np.inf, b_rs)
 
     monkeypatch.setattr("fraczeta.zetalab._z_rs", rs_weak_at_one_point)
-    _, z2, gate2, n_scalar = _z_scan(600.0, 0.05)
+    _, z2, gate2, n_open = _z_scan(600.0, 0.05)
     z_fast, b_fast = _z_fast(ts[weak:weak + 1])
-    assert z2[weak] == z_fast[0] and n_scalar == 0
-    assert gate2[weak] == b_fast[0] + _z_scalar_bound_cap(ts[weak:weak + 1])[0]
+    assert z2[weak] == z_fast[0] and n_open == 0
+    assert gate2[weak] == b_fast[0]
     assert abs(z2[weak]) > gate2[weak]
     rest = np.arange(ts.size) != weak
     assert np.array_equal(z2[rest], z[rest])
@@ -1133,8 +1117,7 @@ h.update(rep.err_bounds.tobytes())
 h.update(np.array(find_zeros(300.0).ordinates).tobytes())
 ts = np.sort(np.random.default_rng(5).uniform(200.0, 1.0e4, 600))
 grid = np.arange(4000, 8096) * 0.05
-for z, bound in (zetalab._z_rs(ts), zetalab._z_rs(grid, 0.05),
-                 zetalab._z_scalar(ts[::20])):
+for z, bound in (zetalab._z_rs(ts), zetalab._z_rs(grid, 0.05)):
     h.update(z.tobytes())
     h.update(bound.tobytes())
 lat = make_lattice(-8.0, 8.0, 201, 0.005, potential=lambda x: x * x / 2)
@@ -1146,8 +1129,7 @@ print(h.hexdigest())
 def test_blas_routes_bits_do_not_depend_on_blas_threads():
     # the scan's grid products and the 201-site periodic kernel's eigvalsh
     # gave different bits at 1 and 2 threads before they ran on one; the
-    # Riemann-Siegel corrections and phase tables, and the batched scalar
-    # route's reductions, are BLAS products too
+    # Riemann-Siegel corrections and phase tables are BLAS products too
     digests = _digests_at_blas_threads(_BLAS_ROUTES_HASH)
     assert digests[0] == digests[1]
 
