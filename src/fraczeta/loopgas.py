@@ -8,7 +8,11 @@ forward/backward profile pair whose pointwise product is conserved.
 Conventions.  The kernel matrix carries one factor of the site spacing
 delta per step, so T^n composed over interior sites is the Riemann-sum
 discretization of the continuum chain; densities are matrix entries
-scaled back by 1/delta and the loop integral is the plain trace.
+scaled back by 1/delta and the loop integral is the plain trace.  On a
+reflecting lattice the two end sites lie on the walls and carry delta/2,
+as in the trapezoid rule: the matrix is the symmetric form
+W^1/2 G W^1/2, W = diag(1/2, 1, ..., 1, 1/2) delta, so an entry reads
+the density times sqrt(1/2) for each of its ends that is a wall site.
 Natural units hbar = m = k_B = 1 by default, all overridable.
 """
 
@@ -163,7 +167,8 @@ class PathEnsemble:
 
 def _free_gaussian(lattice: LoopLattice) -> np.ndarray:
     """Free one-step matrix sqrt(m/2 pi hbar eps) e^{-m d^2/2 hbar eps} delta,
-    with d the boundary-aware distance (periodic images or two mirrors).
+    with d the boundary-aware distance (periodic images or two mirrors);
+    reflecting walls weight their sites by delta/2 (module docstring).
 
     The Gaussian tail underflows into subnormal doubles, and every product
     with one takes the CPU's slow path, so entries below the smallest
@@ -188,6 +193,11 @@ def _free_gaussian(lattice: LoopLattice) -> np.ndarray:
         g = (np.exp(-scale * diff ** 2)
              + np.exp(-scale * (ssum - 2.0 * lattice.x_min) ** 2)
              + np.exp(-scale * (ssum - 2.0 * lattice.x_max) ** 2))
+        # the end sites lie on the walls, each its own mirror image: weight
+        # them by delta/2, as the trapezoid rule does, in the symmetric
+        # form W^1/2 G W^1/2 with W = diag(1/2, 1, ..., 1, 1/2) delta
+        g[[0, -1]] *= math.sqrt(0.5)
+        g[:, [0, -1]] *= math.sqrt(0.5)
     g *= pref
     g[g < _TINY] = 0.0
     return g

@@ -791,7 +791,10 @@ def gue_sample(dim: int, trials: int, seed: int) -> np.ndarray:
     each trial, one gue_eigenvalues draw (O(dim^2) time, O(dim) memory),
     is unfolded by F(x) = 1/2 + x sqrt(R^2-x^2)/(pi R^2) + asin(x/R)/pi,
     R = 2 sqrt(dim), times dim; its middle half is shifted by trial_index*dim,
-    ~dim/2 clear of other trials for any max_sep.  Deterministic per seed.
+    ~dim/2 clear of other trials for any max_sep.  Deterministic per seed:
+    each trial draws from its own SeedSequence child, so the draws run on
+    every usable core (_blas.blocks; dsterf releases the interpreter lock)
+    and no bit depends on the number of cores.
     """
     if dim < 20:
         raise ValueError(f"dim must be >= 20, got {dim}")
@@ -799,9 +802,11 @@ def gue_sample(dim: int, trials: int, seed: int) -> np.ndarray:
         raise ValueError(f"trials must be >= 1, got {trials}")
     radius = 2.0 * math.sqrt(dim)
     lo, hi = dim // 4, dim - dim // 4
+    draws = _blas.blocks(lambda child: gue_eigenvalues(dim, child),
+                         np.random.SeedSequence(seed).spawn(trials))
     out = []
-    for k, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
-        lam = np.clip(gue_eigenvalues(dim, child), -radius, radius)
+    for k, lam in enumerate(draws):
+        lam = np.clip(lam, -radius, radius)
         f = (0.5 + lam * np.sqrt(radius ** 2 - lam ** 2) / (math.pi * radius ** 2)
              + np.arcsin(lam / radius) / math.pi)
         out.append(dim * f[lo:hi] + k * float(dim))
@@ -891,7 +896,11 @@ def universality_scan(region: Disc, target, epsilon: float,
     remainder bound plus the float-noise floor, as zeta() works them out.
     The grid goes through one factored grid sum (_grid_chunks), whose
     block width is about t_max + |Im center| + radius; that reach is
-    capped at 1e4 like zeta's, and beyond it ValueError is raised.
+    capped at 1e4 like zeta's, and beyond it ValueError is raised.  Its
+    chunks run on every usable core (_blas.blocks), the largest cutoffs
+    first so that the last chunk to finish is a short one; each chunk is
+    one _em_block call and writes its own rows, so no bit depends on the
+    number of cores.
     """
     if not (region.center.real - region.radius > 0.5
             and region.center.real + region.radius < 1.0):
@@ -916,10 +925,14 @@ def universality_scan(region: Disc, target, epsilon: float,
     tvals = np.arange(k_steps, dtype=float) * t_step
     sup = np.empty(k_steps)
     err = np.empty(k_steps)
-    for sl, grid in _grid_chunks(pts, tvals, t_step):
+
+    def scan(chunk):
+        sl, grid = chunk
         vals, bounds = _em_block(pts, tvals[sl], 1e-10, grid)
         sup[sl] = np.max(np.abs(vals - tgt[None, :]), axis=1)
         err[sl] = np.max(bounds, axis=1)
+
+    _blas.blocks(scan, reversed(list(_grid_chunks(pts, tvals, t_step))))
     hits = sup < epsilon
     measure = float(np.count_nonzero(hits)) * t_step / t_max
     return UniversalityReport(region=region, epsilon=float(epsilon),

@@ -676,9 +676,10 @@ loopgas.propagator(loopgas.build_kernel(lat), 20, 22, 10)
 loopgas.mc_propagator(lat, 20, 22, 10, 100, 0)
 eprspace.factorize(360)
 before = scipy_modules()
+threads = sorted(m for m in ("concurrent.futures", "logging") if m in sys.modules)
 spec = fitkit.synth_spectrum(fracdyn.ColeColeModel(0.8, 1e-3, 50.0, 5.0),
                              np.logspace(0.0, 6.0, 30), 0.0, 0)
-print(json.dumps({"rational": rational, "before": before,
+print(json.dumps({"rational": rational, "before": before, "threads": threads,
                   "alpha": fitkit.fit_cole_cole(spec).model.alpha,
                   "mellin": zetalab.heat_trace_mellin([1.0, 2.0], 2.0),
                   "after": scipy_modules()}))
@@ -689,7 +690,9 @@ def test_scipy_stays_off_the_import_path():
     """Importing the CLI and running the zeta, GUE, loop-gas and lattice
     calls loads no scipy module; the fit and the heat-trace transform
     load it when first called.  The import loads neither fractions nor
-    decimal: the Bernoulli table is built in integers."""
+    decimal: the Bernoulli table is built in integers.  Nor do the calls
+    load concurrent.futures or the logging it imports: the GUE trials and
+    the scan's grid chunks are spread over plain threads."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
@@ -699,6 +702,7 @@ def test_scipy_stays_off_the_import_path():
     out = json.loads(proc.stdout)
     assert out["rational"] == []
     assert out["before"] == []
+    assert out["threads"] == []
     assert abs(out["alpha"] - 0.8) < 1e-6
     assert abs(out["mellin"] - 1.25) < 1e-10
     assert "scipy.optimize" in out["after"] and "scipy.integrate" in out["after"]

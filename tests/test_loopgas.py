@@ -43,9 +43,10 @@ FREE_Q_0_04_T1 = 0.36827014030332331
 # sha256 over test_loopgas_battery_hash_pinned's battery, retaken when
 # kernels stored their subnormal entries as 0 (four slice values, 2.7e-321
 # before, became 0), then when the spectrum moved to one BLAS thread (it
-# was taken at 2; now any thread count gives this digest)
+# was taken at 2; now any thread count gives this digest), then when the
+# reflecting walls were weighted by delta/2 (the periodic half kept its bits)
 LOOPGAS_BATTERY_SHA256 = (
-    "61d128092f73e93015ed371eabe60a16ad5d8adb7f0f0703f74d0f2be245676c")
+    "22192045a9b84404532c92568a61af7c7697a575789d165580993bc11e7304f3")
 
 # sha256 of sample_paths(harmonic 161-site lattice, 2000, 100, seed=5,
 # mode="loop").paths as produced by the gather/cumsum reference route
@@ -183,6 +184,85 @@ def test_kernels_have_no_subnormal_entries(n_sites, eps, boundary, potential):
         m = k.matrix
         assert np.all((m == 0.0) | (m >= tiny))
         assert np.array_equal(m, m.T)
+
+
+def _wall_weights(n_sites):
+    """W^1/2 / sqrt(delta): 1 inside, sqrt(1/2) at the two wall sites."""
+    w = np.ones(n_sites)
+    w[[0, -1]] = math.sqrt(0.5)
+    return w
+
+
+@pytest.mark.parametrize("eps", [0.0049, 0.01, 0.04])   # S = 0.49, 1, 4
+def test_free_reflecting_rows_sum_to_one(eps):
+    # rows of the chain W^-1/2 K W^1/2 = G W, whose wall sites hold half a
+    # cell; unfolded at the walls they are interior rows, so each sums to
+    # 1 + 2 exp(-2 pi^2 S) (Poisson).  Counted twice, the wall site made
+    # the wall row 1.65 at S = 1
+    lat = make_lattice(-8.0, 8.0, 161, eps, boundary="reflecting")
+    w = _wall_weights(lat.n_sites)
+    rows = (lat.free_kernel.matrix @ w) / w
+    poisson = 2.0 * math.exp(-2.0 * math.pi ** 2 * lat.stability)
+    assert np.all(np.abs(rows - 1.0) <= poisson * (1.0 + 1e-5) + 1e-13)
+
+
+def _neumann_oscillator_levels(half_width, count):
+    """Lowest levels of -psi''/2 + x^2 psi/2 on [-L, L] with psi' = 0 at
+    both walls, by central differences (ghost-point walls, symmetrized),
+    Richardson-extrapolated from 4000 and 8000 cells: a route that shares
+    nothing with the kernel, converged to 1e-9 at L = 5."""
+    from scipy.linalg import eigh_tridiagonal
+
+    def levels(cells):
+        x = np.linspace(-half_width, half_width, cells + 1)
+        h = 2.0 * half_width / cells
+        off = np.full(cells, -0.5 / h ** 2)
+        off[[0, -1]] *= math.sqrt(2.0)
+        return eigh_tridiagonal(1.0 / h ** 2 + 0.5 * x * x, off, select="i",
+                                select_range=(0, count - 1),
+                                eigvals_only=True)
+
+    return (4.0 * levels(8000) - levels(4000)) / 3.0
+
+
+@pytest.mark.parametrize("half_width, n_sites, ladder", [
+    (5.0, 401, 7),      # the walls lower the levels from k = 7 on
+    (10.0, 801, 20),
+])
+def test_reflecting_harmonic_levels_have_no_wall_states(half_width, n_sites,
+                                                        ladder):
+    # a doubled wall site gave spurious wall levels, each twice: E = -17.94
+    # on [-5, 5] and 19.24 on [-10, 10].  Every level below 20 must be the
+    # walled oscillator's, in order, to within the lattice error (O(delta^2)
+    # at the walls, 1.9e-4 here), so none lies below 1/2 or in between
+    eps = 0.0025
+    lat = make_lattice(-half_width, half_width, n_sites, eps,
+                       potential=lambda x: 0.5 * x * x, boundary="reflecting")
+    levels = -np.log(build_kernel(lat).spectrum[::-1][:21]) / eps
+    walled = _neumann_oscillator_levels(half_width, 21)
+    assert walled[-1] > 20.0
+    assert levels[0] > 0.5 - 1e-3
+    assert np.all(np.abs(levels - walled) < 1e-3)
+    k = np.arange(ladder)
+    assert np.all(np.abs(levels[:ladder] - (k + 0.5)) < 1e-3)
+
+
+def test_reflecting_propagator_at_the_walls():
+    # the symmetric form reads the density times sqrt(1/2) at each end
+    # that is a wall site; against the exact reflected heat kernel
+    lat = make_lattice(-8.0, 8.0, 161, 0.01, boundary="reflecting")
+    x, t, span = lat.sites(), 1.0, 16.0
+
+    def exact(i, j):
+        images = [y + 2.0 * m * span for m in range(-3, 4)
+                  for y in (x[j], 2.0 * x[0] - x[j])]
+        return sum(math.exp(-(x[i] - y) ** 2 / (2.0 * t)) for y in images) \
+            / math.sqrt(2.0 * math.pi * t)
+
+    w = _wall_weights(lat.n_sites)
+    for i, j in ((80, 80), (0, 0), (0, 3), (160, 150), (0, 160), (2, 5)):
+        q = propagator(lat.free_kernel, i, j, 100)
+        assert abs(q / (w[i] * w[j] * exact(i, j)) - 1.0) < 1e-6
 
 
 def test_kernel_matrix_read_only():

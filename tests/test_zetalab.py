@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -1132,6 +1133,151 @@ def test_blas_routes_bits_do_not_depend_on_blas_threads():
     # Riemann-Siegel corrections and phase tables are BLAS products too
     digests = _digests_at_blas_threads(_BLAS_ROUTES_HASH)
     assert digests[0] == digests[1]
+
+
+_CORES_HASH = """
+import hashlib, os, sys
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from fraczeta.zetalab import Disc, find_zeros, gue_sample, universality_scan
+
+h = hashlib.sha256()
+rep = universality_scan(Disc(0.75, 0.05), None, 0.3, 500.0, 0.05)
+h.update(rep.sup_errors.tobytes())
+h.update(rep.err_bounds.tobytes())
+h.update(gue_sample(200, 20, 12345).tobytes())
+h.update(np.array(find_zeros(300.0).ordinates).tobytes())
+print(len(os.sched_getaffinity(0)), h.hexdigest())
+"""
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+                    reason="needs 2 usable CPUs")
+def test_spread_routes_bits_do_not_depend_on_core_count():
+    # universality_scan's grid chunks and gue_sample's trials run on every
+    # usable core; one fresh process is pinned to one CPU before the import
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = []
+    for cores in ("one", "all"):
+        proc = subprocess.run([sys.executable, "-c", _CORES_HASH, cores],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout.split())
+    assert out[0][0] == "1" and int(out[1][0]) >= 2
+    assert out[0][1] == out[1][1]
+
+
+def _blas_switch():
+    switch = _blas._thread_count()
+    if switch is None:
+        pytest.skip("no OpenBLAS thread count to switch")
+    return switch
+
+
+def test_one_thread_sections_overlap():
+    # two decorated calls are inside their sections at the same moment;
+    # a section that held a lock for the whole call would break the barrier
+    _blas_switch()
+    barrier = threading.Barrier(2, timeout=10.0)
+    met = []
+
+    @_blas.one_thread
+    def meet():
+        barrier.wait()
+        met.append(True)
+
+    helper = threading.Thread(target=meet)
+    helper.start()
+    meet()
+    helper.join(timeout=10.0)
+    assert not helper.is_alive()
+    assert met == [True, True]
+
+
+@pytest.mark.parametrize("leave", ["return", "raise"])
+def test_one_thread_restores_the_count_when_the_last_section_leaves(leave):
+    get, put = _blas_switch()
+    inside, release = threading.Event(), threading.Event()
+    seen = {}
+
+    @_blas.one_thread
+    def section(name):
+        seen[name] = get()
+        if name == "first":
+            inside.set()
+            release.wait(timeout=10.0)
+        if leave == "raise":
+            raise KeyError(name)
+
+    def run(name):
+        try:
+            section(name)
+        except KeyError:
+            seen[name + " raised"] = True
+        seen[name + " left"] = get()
+
+    before = get()
+    put(3)
+    try:
+        helper = threading.Thread(target=run, args=("first",))
+        helper.start()
+        assert inside.wait(timeout=10.0)
+        run("second")               # leaves while "first" is still inside
+        release.set()
+        helper.join(timeout=10.0)
+        assert not helper.is_alive()
+        want = {"first": 1, "second": 1, "second left": 1, "first left": 3}
+        if leave == "raise":
+            want.update({"first raised": True, "second raised": True})
+        assert seen == want
+    finally:
+        release.set()
+        put(before)
+
+
+def test_blocks_keeps_input_order_and_claims_each_item_once(monkeypatch):
+    # more workers than cores and a short switch interval, so the claims
+    # interleave; a lost or doubled claim would show in the call list
+    monkeypatch.setattr(_blas, "_usable_cores", lambda: 8)
+    switch = _blas._thread_count()
+    calls, counts = [], set()
+
+    def square(x):
+        calls.append(x)
+        if switch is not None:
+            counts.add(switch[0]())
+        return x * x
+
+    alive = set(threading.enumerate())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _blas.blocks(square, range(3000))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [x * x for x in range(3000)]
+    assert sorted(calls) == list(range(3000))
+    assert counts <= {1}
+    assert set(threading.enumerate()) == alive
+
+
+def test_blocks_raises_the_first_failure_and_joins_its_helpers(monkeypatch):
+    monkeypatch.setattr(_blas, "_usable_cores", lambda: 4)
+
+    def fail_third(x):
+        if x == 2:
+            raise ValueError("item 2 failed")
+        return x
+
+    alive = set(threading.enumerate())
+    with pytest.raises(ValueError, match="item 2 failed"):
+        _blas.blocks(fail_third, range(40))
+    assert set(threading.enumerate()) == alive
+    assert _blas.blocks(fail_third, []) == []
 
 
 # --- spectral functions --------------------------------------------------------------
